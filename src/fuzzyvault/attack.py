@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 import time
 from array import array
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
+
+import numpy as np
 
 from .coding import Secret, coeffs_pass_crc, decode_secret
-from .consensus import VaultIndex
+from .consensus import VaultIndex, search, search_pool
 from .geometry import PointGrid
 from .seeds import substream
 from .vault import Vault
@@ -59,95 +60,24 @@ def _decode_recovered(coeffs, bits, crc):
         return None
 
 
-def _canonical_quiz_candidate(index: VaultIndex, coeffs, hits: int):
+def _canonical_quiz_candidate(index: VaultIndex, coeffs):
     """Resolve the shift ambiguity of any-index matching.
 
     Under the any-index graph test, the systematic near-misses of the true
     polynomial are its constant-coefficient shifts by s*step, |s| < n (an
     assignment uniformly off by s moves every interpolation target by the
     same amount).  A shifted variant collects about t*(n-|s|)/n hits while
-    the true one collects all t, so report the max-hits variant.
+    the true one collects all t, so report the first max-hits variant, the
+    accepted candidate first.  Returns it with the point checks spent on the
+    2n - 2 shifts.
     """
     q = index.q
     n = len(index.offsets)
     step = index.offsets[1] if n > 1 else 0
-    best, best_hits, extra = tuple(coeffs), hits, 0
-    for s in range(-(n - 1), n):
-        if s == 0:
-            continue
-        shifted = ((coeffs[0] + s * step) % q,) + tuple(coeffs[1:])
-        h = index.count_hits(shifted)
-        extra += index.r - index.k
-        if h > best_hits:
-            best, best_hits = shifted, h
-    return best, extra
-
-
-def _search(index: VaultIndex, mode: str, D: int | None, bits: int | None,
-            rng: random.Random, max_trials: int, subsets=None):
-    """Core trial loop.  Returns (coeffs or None, trials, interps, checks).
-
-    ``subsets``: optional iterable of index tuples (exhaustive mode);
-    otherwise subsets are drawn uniformly with replacement from rng.
-    """
-    k = index.k
-    r = index.r
-    scan_span = r - k
-    trials = interps = checks = 0
-    if index.offsets is None:
-        assignments = None
-    else:
-        n = len(index.offsets)
-        assignments = list(itertools.product(index.offsets, repeat=k))
-
-    if subsets is None:
-        idx_range = range(r)
-        subsets = (rng.sample(idx_range, k) for _ in range(max_trials))
-    for sub in subsets:
-        if trials >= max_trials:
-            break
-        trials += 1
-        if assignments is None:
-            coeffs = index.interpolate_subset(sub)
-            interps += 1
-            if mode == "crc":
-                if coeffs_pass_crc(coeffs, bits):
-                    return coeffs, trials, interps, checks
-            else:
-                checks += scan_span
-                if index.count_hits(coeffs) >= D:
-                    return coeffs, trials, interps, checks
-        else:
-            q = index.q
-            base = [index.ys[i] for i in sub]
-            for offs in assignments:
-                ys = [(y + o) % q for y, o in zip(base, offs)]
-                coeffs = index.interpolate_subset(sub, ys)
-                interps += 1
-                if mode == "crc":
-                    if coeffs_pass_crc(coeffs, bits):
-                        return coeffs, trials, interps, checks
-                else:
-                    checks += scan_span
-                    hits = index.count_hits(coeffs)
-                    if hits >= D:
-                        coeffs, extra = _canonical_quiz_candidate(index, coeffs, hits)
-                        return coeffs, trials, interps, checks + extra
-    return None, trials, interps, checks
-
-
-# Worker-side state for the process pool, installed once per process.
-_WORKER: dict = {}
-
-
-def _init_worker(vault: Vault, mode: str, D: int | None, bits: int | None) -> None:
-    _WORKER["index"] = VaultIndex(vault)
-    _WORKER["args"] = (mode, D, bits)
-
-
-def _run_chunk(label: str, n_trials: int):
-    mode, D, bits = _WORKER["args"]
-    return _search(_WORKER["index"], mode, D, bits, random.Random(label), n_trials)
+    shifts = [0] + [s for s in range(-(n - 1), n) if s != 0]
+    rows = np.array([[(coeffs[0] + s * step) % q, *coeffs[1:]] for s in shifts], dtype=np.int64)
+    best = int(np.argmax(index.hits(rows)))
+    return tuple(rows[best].tolist()), (len(shifts) - 1) * (index.r - index.k)
 
 
 def brute_force_attack(
@@ -191,53 +121,27 @@ def brute_force_attack(
 
     start = time.perf_counter()
     index = VaultIndex(vault)
-    decode_crc = mode == "crc"
-
+    rule = dict(D=D, crc=partial(coeffs_pass_crc, bits=bits) if mode == "crc" else None,
+                sweep=index.offsets is not None)
     if exhaustive:
         subsets = itertools.combinations(range(vault.r), vault.k)
-        coeffs, trials, interps, checks = _search(
-            index, mode, D, bits, random.Random(0), budget, subsets=subsets
-        )
+        coeffs, trials, interps, checks = search(index, None, None, budget, subsets=subsets,
+                                                 **rule)
     elif workers <= 1:
-        rng = substream(seed, "attack")
-        coeffs, trials, interps, checks = _search(index, mode, D, bits, rng, budget)
+        coeffs, trials, interps, checks = search(index, None, substream(seed, "attack"),
+                                                 budget, **rule)
     else:
-        coeffs = None
-        trials = interps = checks = 0
-        n_chunks = math.ceil(budget / PARALLEL_CHUNK_TRIALS)
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(vault, mode, D, bits),
-        ) as pool:
-            pending = {
-                pool.submit(
-                    _run_chunk,
-                    f"{seed}/attack-chunk{i}",
-                    min(PARALLEL_CHUNK_TRIALS, budget - i * PARALLEL_CHUNK_TRIALS),
-                )
-                for i in range(n_chunks)
-            }
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                stop = False
-                for fut in done:
-                    c, tr, ints, chk = fut.result()
-                    trials += tr
-                    interps += ints
-                    checks += chk
-                    if c is not None and coeffs is None:
-                        coeffs = c
-                        stop = True
-                if stop:
-                    for fut in pending:
-                        fut.cancel()
-                    break
+        coeffs, trials, interps, checks = search_pool(
+            vault, None, budget, PARALLEL_CHUNK_TRIALS, f"{seed}/attack-chunk", workers, **rule
+        )
+    if coeffs is not None and rule["sweep"] and mode == "threshold":
+        coeffs, extra = _canonical_quiz_candidate(index, coeffs)
+        checks += extra
 
     elapsed = time.perf_counter() - start
     if coeffs is None:
         return AttackReport(False, None, None, trials, interps, checks, elapsed, seed, workers)
-    secret = _decode_recovered(coeffs, bits, decode_crc)
+    secret = _decode_recovered(coeffs, bits, mode == "crc")
     return AttackReport(True, coeffs, secret, trials, interps, checks, elapsed, seed, workers)
 
 

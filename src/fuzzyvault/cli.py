@@ -8,6 +8,7 @@ timings go to stderr, never into report files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -319,6 +320,7 @@ def cmd_correlate(args) -> int:
 # parser
 
 
+@functools.cache  # once per process: costs more than a small lock or unlock
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fuzzyvault",
@@ -437,8 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError, RuntimeError) as exc:

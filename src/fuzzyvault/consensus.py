@@ -1,9 +1,13 @@
-"""Candidate testing shared by the genuine verifier and the attacker.
+"""Candidate search shared by the genuine verifier and the attacker.
 
-Both sides work the same way: interpolate a k-subset of points, then either
-count how many vault records lie on the candidate polynomial's graph
-(threshold rule) or check the candidate's CRC coefficient.  Keeping one
-audited code path for the two sides is deliberate.
+Both sides draw k-subsets of a point list, interpolate a candidate through
+each, then either count the vault records on its graph (threshold rule) or
+check its CRC coefficient.  One search function and one parallel runner
+serve both.  A batch of subsets is interpolated at once in numpy (Lagrange
+form) and scanned with a Horner loop.  Every product is reduced mod q before
+the next and q < 2**31, so int64 arithmetic is exact.  Subsets are drawn
+with the same generator calls as a one-candidate loop and the first
+accepted row in batch order wins, so results do not depend on batch size.
 
 For quiz vaults the graph test is "any transform index matches": a record
 (X, Y) counts as a hit when (g(X) - Y) mod q is one of the n transform
@@ -13,67 +17,76 @@ did not match to a minutia.
 
 from __future__ import annotations
 
+import itertools
+import math
+import random
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
 import numpy as np
 
 from .field import PrimeField
 from .quiz import transform_offsets
 from .vault import Vault, concat_coord, coord_shift
 
+# Bound on the elements of the largest temporary array of one batch
+# (rows x max(r, k*k) int64 values, 128 KiB).
+BATCH_ELEMENTS = 2**14
+# Crossover, measured at q = 65537 and q = 2**31 - 1, below which Python's
+# pow inverts an array faster than numpy exponentiation.
+SMALL_INVERSE = 64
+
 
 class VaultIndex:
-    """Precomputed per-record data for fast candidate-vs-vault scans.
-
-    When k*(q-1)^2 fits comfortably in int64, the scan multiplies a
-    precomputed Vandermonde power matrix by the candidate coefficients in
-    numpy (exact integer arithmetic); otherwise it falls back to a pure
-    Python Horner loop, also exact.
-    """
+    """Per-record data for candidate-vs-vault scans: abscissae X = x || y,
+    reduced mod q, and stored ordinates Y.  Two records with the same X mod q
+    make interpolation through them undefined, so such a vault is rejected."""
 
     def __init__(self, vault: Vault):
         self.q = vault.q
         self.k = vault.k
         self.field = PrimeField(vault.q)
         shift = coord_shift(vault.q)
-        self.xs = [concat_coord(rec.x, rec.y, shift) for rec in vault.records]
+        self.xs = [concat_coord(rec.x, rec.y, shift) % self.q for rec in vault.records]
         self.ys = [rec.value for rec in vault.records]
         self.r = len(self.xs)
+        if len(set(self.xs)) != self.r:
+            raise ValueError("two vault records share an abscissa X = x || y mod q")
+        self._x = np.asarray(self.xs, dtype=np.int64)
+        self._y = np.asarray(self.ys, dtype=np.int64)
         if vault.quiz_n:
             self.offsets = transform_offsets(vault.quiz_params())
-            self._offset_set = frozenset(self.offsets)
+            self._offsets = np.asarray(sorted(self.offsets), dtype=np.int64)
         else:
             self.offsets = None
-            self._offset_set = None
-        self._vectorized = self.k * (self.q - 1) ** 2 < 2**62
-        if self._vectorized:
-            q = self.q
-            pows = np.empty((self.r, self.k), dtype=np.int64)
-            for i, x in enumerate(self.xs):
-                acc = 1
-                for j in range(self.k):
-                    pows[i, j] = acc
-                    acc = acc * x % q
-            self._pows = pows
-            self._ys_arr = np.asarray(self.ys, dtype=np.int64)
-            if self.offsets is not None:
-                self._offsets_arr = np.asarray(sorted(self.offsets), dtype=np.int64)
+
+    def hits(self, coeffs: np.ndarray) -> np.ndarray:
+        """Vault records on each row's graph (any-index match for quiz
+        vaults), for a (rows, k) array of reduced coefficients."""
+        q = self.q
+        vals = np.repeat(coeffs[:, -1:], self.r, axis=1)
+        for j in range(coeffs.shape[1] - 2, -1, -1):
+            vals *= self._x
+            vals += coeffs[:, j, None]
+            vals %= q
+        if self.offsets is None:
+            return (vals == self._y).sum(axis=1)
+        vals -= self._y
+        vals %= q
+        # a value is an offset iff the first offset not below it equals it
+        first_above = self._offsets.take(np.searchsorted(self._offsets, vals), mode="clip")
+        return (first_above == vals).sum(axis=1)
 
     def count_hits(self, coeffs) -> int:
         """Number of vault records on the candidate's graph (any-index match
         for quiz vaults).  Records used to build the candidate count too."""
-        if self._vectorized:
-            vals = self._pows @ np.asarray(coeffs, dtype=np.int64) % self.q
-            if self.offsets is None:
-                return int(np.count_nonzero(vals == self._ys_arr))
-            diff = (vals - self._ys_arr) % self.q
-            return int(np.isin(diff, self._offsets_arr).sum())
-        return self.count_hits_python(coeffs)
+        row = np.asarray(coeffs, dtype=np.int64).reshape(1, -1) % self.q
+        return int(self.hits(row)[0])
 
     def count_hits_python(self, coeffs) -> int:
-        """Pure-Python scan; exact for any accepted q.  Also serves as the
-        oracle for the vectorized path in tests."""
+        """Pure-Python scan, the oracle for ``hits`` in tests."""
         q = self.q
         hits = 0
-        offsets = self._offset_set
+        offsets = None if self.offsets is None else frozenset(self.offsets)
         for x, y in zip(self.xs, self.ys):
             acc = 0
             for c in reversed(coeffs):
@@ -85,12 +98,155 @@ class VaultIndex:
                 hits += (v - y) % q in offsets
         return hits
 
-    def interpolate_subset(self, indices, ys_override=None) -> tuple[int, ...]:
-        """Interpolate through the records at ``indices``; ``ys_override``
-        (parallel to indices) substitutes transformed ordinates."""
-        xs = self.xs
-        if ys_override is None:
-            pts = [(xs[i], self.ys[i]) for i in indices]
+
+def _inverse(a: np.ndarray, q: int) -> np.ndarray:
+    """Elementwise a**(q-2) mod q (Fermat), for nonzero a in [0, q).  The
+    numpy loop costs about 2*log2(q) passes whatever the size, so arrays of
+    up to SMALL_INVERSE elements go through Python's pow instead."""
+    if a.size <= SMALL_INVERSE:
+        return np.array([pow(v, q - 2, q) for v in a.ravel().tolist()],
+                        dtype=np.int64).reshape(a.shape)
+    out = np.ones_like(a)
+    base = a.copy()
+    e = q - 2
+    while e:
+        if e & 1:
+            out *= base
+            out %= q
+        e >>= 1
+        if e:
+            base *= base
+            base %= q
+    return out
+
+
+def interpolate(xs: np.ndarray, ys: np.ndarray, q: int) -> np.ndarray:
+    """Coefficients (rows, sets, k), constant first, of the polynomials
+    through the points (xs[b], ys[b, a]) for each row b of ``xs`` (rows, k),
+    distinct values in [0, q), and each ordinate set a of ``ys``
+    (rows, sets, k) in [0, q).  Lagrange form: basis[b, i, j] is the X**j
+    coefficient of the basis polynomial L_i of row b."""
+    rows, k = xs.shape
+    # denominators prod_{j != i} (x_i - x_j)
+    diff = xs[:, :, None] - xs[:, None, :]
+    diff %= q
+    diff.reshape(rows, k * k)[:, :: k + 1] = 1
+    cols = diff.transpose(2, 0, 1)
+    denom = cols[0].copy()
+    for col in cols[1:]:
+        denom *= col
+        denom %= q
+    # master polynomial prod_j (X - x_j), monic, constant first: multiply by
+    # X + a_j with a_j = q - x_j, one factor at a time
+    root = np.zeros((rows, k + 1), dtype=np.int64)
+    root[:, 0] = 1
+    for a in (q - xs).T[:, :, None]:
+        nxt = root * a
+        nxt[:, 1:] += root[:, :-1]
+        root = nxt % q
+    # numerators root / (X - x_i) by synthetic division, all i at once;
+    # built as [j, b, i], the X**j coefficient of row b's i-th numerator
+    numer = np.empty((k, rows, k), dtype=np.int64)
+    numer[k - 1] = 1
+    root_t = root.T[:, :, None]
+    for j in range(k - 1, 0, -1):
+        step = xs * numer[j]
+        step += root_t[j]
+        np.remainder(step, q, out=numer[j - 1])
+    basis = numer.transpose(1, 2, 0)
+    basis *= _inverse(denom, q)[:, :, None]
+    basis %= q
+    return (ys[..., None] * basis[:, None] % q).sum(axis=2) % q
+
+
+def search(index: VaultIndex, points, rng: random.Random | None, budget: int,
+           D: int | None = None, crc=None, subsets=None, sweep: bool = False):
+    """Draw k-subsets of ``points`` until one yields an accepted candidate or
+    ``budget`` subsets are spent.  Returns (coeffs or None, trials,
+    interpolations, point checks).
+
+    ``points``: (xs, ys) int64 arrays, xs distinct and reduced mod q, or
+    None for the vault's own records.  ``subsets``: optional iterable of
+    index tuples (exhaustive mode); otherwise each trial draws
+    ``rng.sample(range(len(xs)), k)``.  The rule is the threshold D on vault
+    hits, or, when ``crc`` is given, the predicate ``crc(coeffs)``.
+    ``sweep``: try every subset under all n**k quiz transform assignments,
+    in itertools.product order.
+    """
+    q, k = index.q, index.k
+    xs, ys = (index._x, index._y) if points is None else points
+    if sweep:
+        assignments = np.array(list(itertools.product(index.offsets, repeat=k)), dtype=np.int64)
+    else:
+        assignments = np.zeros((1, k), dtype=np.int64)
+    per_trial = len(assignments)
+    cap = max(1, BATCH_ELEMENTS // (per_trial * max(index.r, k * k)))
+    if subsets is None:
+        idx_range = range(len(xs))
+        subsets = (rng.sample(idx_range, k) for _ in range(budget))
+    trials = interps = 0
+    batch = 1
+    found = None
+    while found is None and trials < budget:
+        chosen = list(itertools.islice(subsets, min(batch, budget - trials)))
+        if not chosen:
+            break
+        sub = np.array(chosen, dtype=np.intp)
+        coeffs = interpolate(xs[sub], (ys[sub][:, None, :] + assignments) % q, q).reshape(-1, k)
+        if crc is None:
+            passed = np.flatnonzero(index.hits(coeffs) >= D)
+            first = int(passed[0]) if len(passed) else -1
         else:
-            pts = [(xs[i], y) for i, y in zip(indices, ys_override)]
-        return self.field.interpolate(pts)
+            first = next((i for i, row in enumerate(coeffs.tolist()) if crc(tuple(row))), -1)
+        used = len(coeffs)
+        if first >= 0:
+            found = tuple(coeffs[first].tolist())
+            used = first + 1
+        interps += used
+        trials += -(-used // per_trial)  # subsets with at least one row tried
+        batch = min(2 * batch, cap)
+    return found, trials, interps, 0 if crc is not None else interps * (index.r - k)
+
+
+# Worker-side state for the process pool, installed once per process.
+_WORKER: dict = {}
+
+
+def _init_worker(vault: Vault, points, D, crc, sweep: bool) -> None:
+    _WORKER["index"] = VaultIndex(vault)
+    _WORKER["args"] = (points, D, crc, sweep)
+
+
+def _run_chunk(label: str, n: int):
+    points, D, crc, sweep = _WORKER["args"]
+    return search(_WORKER["index"], points, random.Random(label), n, D=D, crc=crc, sweep=sweep)
+
+
+def search_pool(vault: Vault, points, budget: int, chunk: int, label: str, workers: int,
+                D: int | None = None, crc=None, sweep: bool = False):
+    """``search`` split into seeded chunks of ``chunk`` subsets, chunk i
+    drawing from ``random.Random(f"{label}{i}")``, run on ``workers``
+    processes.  At most 2 * workers chunks are in flight; the next is
+    submitted as one completes, and none once a chunk succeeds.  ``points``
+    None means the vault's own records.  Returns the summed counters."""
+    coeffs, totals = None, [0, 0, 0]
+    n_chunks = math.ceil(budget / chunk)
+    submitted = 0
+    pending: set = set()
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                             initargs=(vault, points, D, crc, sweep)) as pool:
+        while coeffs is None:
+            while submitted < n_chunks and len(pending) < 2 * workers:
+                size = min(chunk, budget - submitted * chunk)
+                pending.add(pool.submit(_run_chunk, f"{label}{submitted}", size))
+                submitted += 1
+            if not pending:
+                break
+            done, pending = wait(pending, return_when=FIRST_COMPLETED)
+            for fut in done:
+                c, *counts = fut.result()
+                totals = [a + b for a, b in zip(totals, counts)]
+                coeffs = coeffs or c
+        for fut in pending:
+            fut.cancel()
+    return (coeffs, *totals)

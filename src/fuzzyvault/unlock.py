@@ -10,14 +10,14 @@ tie order this is fully deterministic.
 
 from __future__ import annotations
 
-import math
-import random
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
+
+import numpy as np
 
 from .coding import Secret, coeffs_pass_crc, decode_secret
-from .consensus import VaultIndex
+from .consensus import VaultIndex, search, search_pool
 from .quiz import apply_transform, recover_index
 from .seeds import substream
 from .simulate import Minutia, Template
@@ -75,56 +75,22 @@ def build_unlocking_set(vault: Vault, template: Template, tau: float) -> Unlocki
     return UnlockingSet(tuple(pairs), tau)
 
 
-def _candidate_points(vault: Vault, uset: UnlockingSet) -> list[tuple[int, int]]:
-    """(X, true ordinate) pairs for the matched records.  In quiz mode the
-    transform index is recovered from the matched minutia's orientation."""
+def _candidate_points(vault: Vault, uset: UnlockingSet) -> np.ndarray:
+    """(X mod q, true ordinate) of the matched records, as a (2, len(uset))
+    array.  In quiz mode the transform index is recovered from the matched
+    minutia's orientation."""
     shift = coord_shift(vault.q)
     qp = vault.quiz_params()
     pts = []
     for ri, m in uset.pairs:
         rec = vault.records[ri]
-        x_cat = concat_coord(rec.x, rec.y, shift)
+        x_cat = concat_coord(rec.x, rec.y, shift) % vault.q
         if qp is None:
             pts.append((x_cat, rec.value))
         else:
             j = recover_index(m.theta, rec.beta, qp.n)
             pts.append((x_cat, apply_transform(rec.value, j, qp)))
-    return pts
-
-
-def _consensus_search(index, points, mode, D, bits, rng, max_candidates):
-    """(coeffs or None, candidates, interpolations)."""
-    k = index.k
-    u = len(points)
-    candidates = interps = 0
-    idx_range = range(u)
-    for _ in range(max_candidates):
-        candidates += 1
-        chosen = rng.sample(idx_range, k)
-        coeffs = index.field.interpolate([points[i] for i in chosen])
-        interps += 1
-        if mode == "crc":
-            if coeffs_pass_crc(coeffs, bits):
-                return coeffs, candidates, interps
-        else:
-            if index.count_hits(coeffs) >= D:
-                return coeffs, candidates, interps
-    return None, candidates, interps
-
-
-_WORKER: dict = {}
-
-
-def _init_worker(vault, points, mode, D, bits):
-    _WORKER["index"] = VaultIndex(vault)
-    _WORKER["state"] = (points, mode, D, bits)
-
-
-def _run_chunk(label: str, n_candidates: int):
-    points, mode, D, bits = _WORKER["state"]
-    return _consensus_search(
-        _WORKER["index"], points, mode, D, bits, random.Random(label), n_candidates
-    )
+    return np.array(pts, dtype=np.int64).T
 
 
 def consensus_decode(
@@ -158,48 +124,22 @@ def consensus_decode(
         D = vault.k + 3
 
     start = time.perf_counter()
-    points = _candidate_points(vault, uset)
-    if len(points) < vault.k:
+    index = VaultIndex(vault)
+    if len(uset) < vault.k:
         return UnlockResult(
             False, None, None, 0, 0, time.perf_counter() - start, seed, mode, workers
         )
+    points = _candidate_points(vault, uset)
 
-    index = VaultIndex(vault)
+    rule = dict(D=D, crc=partial(coeffs_pass_crc, bits=bits) if mode == "crc" else None)
     if workers <= 1:
-        coeffs, candidates, interps = _consensus_search(
-            index, points, mode, D, bits, substream(seed, "unlock"), budget
-        )
+        coeffs, candidates, interps, _ = search(index, points, substream(seed, "unlock"),
+                                                budget, **rule)
     else:
-        coeffs = None
-        candidates = interps = 0
-        n_chunks = math.ceil(budget / PARALLEL_CHUNK_CANDIDATES)
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(vault, points, mode, D, bits),
-        ) as pool:
-            pending = {
-                pool.submit(
-                    _run_chunk,
-                    f"{seed}/unlock-chunk{i}",
-                    min(PARALLEL_CHUNK_CANDIDATES, budget - i * PARALLEL_CHUNK_CANDIDATES),
-                )
-                for i in range(n_chunks)
-            }
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                stop = False
-                for fut in done:
-                    c, cand, ints = fut.result()
-                    candidates += cand
-                    interps += ints
-                    if c is not None and coeffs is None:
-                        coeffs = c
-                        stop = True
-                if stop:
-                    for fut in pending:
-                        fut.cancel()
-                    break
+        coeffs, candidates, interps, _ = search_pool(
+            vault, points, budget, PARALLEL_CHUNK_CANDIDATES, f"{seed}/unlock-chunk", workers,
+            **rule
+        )
 
     elapsed = time.perf_counter() - start
     if coeffs is None:

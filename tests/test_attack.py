@@ -126,7 +126,6 @@ class TestVaultIndex:
         for quiz_n in (0, 4):
             _, _, vault, truth = locked(k=3, t=8, r=30, bits=40, quiz_n=quiz_n)
             index = VaultIndex(vault)
-            assert index._vectorized
             rng = random.Random(3)
             for _ in range(60):
                 candidate = F.random_polynomial(3, rng)

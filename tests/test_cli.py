@@ -291,3 +291,56 @@ class TestReplays:
         a = run(["estimate", "--preset", "clancy"])
         b = run(["estimate", "--preset", "clancy"])
         assert a.stdout == b.stdout
+
+    def test_in_process_calls_share_no_state(self, workdir):
+        """main() reuses one parser per process: one call's options must not
+        leak into the next call's defaults or outputs."""
+        from fuzzyvault.cli import build_parser, main
+
+        grid = ["sweep", "--r", "9", "--t", "5", "--k", "3"]
+        assert build_parser().parse_args(grid + ["--D", "4", "--q", "17"]).D == [4]
+        fresh = build_parser().parse_args(grid)
+        assert (fresh.D, fresh.q, fresh.quiz_n) == ([], [65537], [0])
+
+        argv = ["attack", "--vault", str(workdir / "vault.json"), "--preset", "small-attack",
+                "--bits", "64", "--seed", "5", "-o"]
+        ref, first, second = (workdir / f"att_proc_{i}.json" for i in range(3))
+        assert run(argv + [str(ref)]).returncode == 0
+        assert main(argv + [str(first), "--budget", "3"]) == 3
+        assert main(argv + [str(second)]) == 0
+        assert second.read_bytes() == ref.read_bytes()
+
+
+class TestDuplicateAbscissae:
+    """A vault with two records on the same abscissa X mod q is a parameter
+    error before any search starts."""
+
+    def _variants(self, workdir):
+        obj = json.loads((workdir / "vault.json").read_text())
+        first = obj["points"][0]
+        X = (first["x"] << 8 | first["y"]) + obj["q"]  # same X mod q, out of frame
+        paths = []
+        for name, extra in (("dup", {"x": first["x"], "y": first["y"], "Y": 1}),
+                            ("wrap", {"x": X >> 8, "y": X & 255, "Y": 1})):
+            path = workdir / f"vault_{name}.json"
+            path.write_text(json.dumps(dict(obj, points=obj["points"] + [extra])) + "\n")
+            paths.append(path)
+        return paths
+
+    def test_attack_exits_2(self, workdir):
+        for path in self._variants(workdir):
+            r = run(["attack", "--vault", str(path), "--preset", "small-attack",
+                     "--budget", "100", "--seed", "1"])
+            assert r.returncode == 2
+            assert r.stderr.startswith("error:") and "abscissa" in r.stderr
+            assert len(r.stderr.splitlines()) == 1
+            assert r.stdout == ""
+
+    def test_unlock_exits_2(self, workdir):
+        for path in self._variants(workdir):
+            r = run(["unlock", "--vault", str(path), "--template", str(workdir / "tpl15.json"),
+                     "--bits", "64", "--seed", "1"])
+            assert r.returncode == 2
+            assert r.stderr.startswith("error:") and "abscissa" in r.stderr
+            assert len(r.stderr.splitlines()) == 1
+            assert r.stdout == ""

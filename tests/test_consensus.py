@@ -1,0 +1,207 @@
+"""The batched search kernel against its exact oracles, and the bounded
+parallel runner."""
+
+import itertools
+import random
+import time
+from concurrent.futures import ProcessPoolExecutor
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from fuzzyvault import (
+    PrimeField,
+    Secret,
+    VaultIndex,
+    VaultParams,
+    brute_force_attack,
+    gen_template,
+    lock,
+    unlock,
+)
+from fuzzyvault import consensus
+from fuzzyvault.consensus import SMALL_INVERSE, _inverse, interpolate, search
+from fuzzyvault.vault import Vault, VaultRecord, coord_shift
+
+# 2**31 - 1 is the largest accepted modulus, where every product of two
+# reduced values comes closest to the int64 limit.
+MODULI = [2, 3, 17, 65537, 2**31 - 1]
+
+
+@st.composite
+def point_rows(draw):
+    """(q, xs (rows, k) distinct per row, ys (rows, sets, k))."""
+    q = draw(st.sampled_from(MODULI))
+    k = draw(st.integers(1, min(q, 24)))
+    rows = draw(st.integers(1, 3))
+    sets = draw(st.integers(1, 3))
+    element = st.integers(0, q - 1)
+    xs = [draw(st.lists(element, min_size=k, max_size=k, unique=True)) for _ in range(rows)]
+    ys = draw(st.lists(element, min_size=rows * sets * k, max_size=rows * sets * k))
+    return q, np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64).reshape(rows, sets, k)
+
+
+@given(point_rows())
+def test_batched_interpolation_matches_field_oracle(case):
+    q, xs, ys = case
+    field = PrimeField(q)
+    coeffs = interpolate(xs, ys, q)
+    for b in range(xs.shape[0]):
+        for a in range(ys.shape[1]):
+            expected = field.interpolate(list(zip(xs[b].tolist(), ys[b, a].tolist())))
+            assert tuple(coeffs[b, a].tolist()) == expected
+
+
+@pytest.mark.parametrize("q", MODULI)
+@pytest.mark.parametrize("size", [1, SMALL_INVERSE, SMALL_INVERSE + 1, 1000])
+def test_inverse_on_both_sides_of_the_python_crossover(q, size):
+    a = np.random.default_rng(size).integers(1, q, size=size, endpoint=False, dtype=np.int64)
+    assert np.all(a * _inverse(a, q) % q == 1)
+
+
+def _vault(q, abscissae, ordinates, quiz_n):
+    """A vault whose records have the given abscissae X = x || y."""
+    shift = coord_shift(q)
+    mask = (1 << shift) - 1
+    records = tuple(
+        VaultRecord(x >> shift, x & mask, y, 0.0 if quiz_n else None)
+        for x, y in zip(abscissae, ordinates)
+    )
+    return Vault(q, 1, 1.0, "random", quiz_n, records)
+
+
+@st.composite
+def scan_cases(draw):
+    """(vault, (rows, k) candidate coefficients)."""
+    q = draw(st.sampled_from(MODULI))
+    r = draw(st.integers(1, min(q, 40)))
+    k = draw(st.integers(1, 24))
+    quiz_n = draw(st.sampled_from([0, 0, 2, 4])) if q >= 4 else 0
+    element = st.integers(0, q - 1)
+    abscissae = draw(st.lists(element, min_size=r, max_size=r, unique=True))
+    ordinates = draw(st.lists(element, min_size=r, max_size=r))
+    vault = _vault(q, abscissae, ordinates, quiz_n)
+    rows = draw(st.lists(st.lists(element, min_size=k, max_size=k), min_size=1, max_size=3))
+    if k <= r:
+        # a candidate through k records, so that some rows score hits
+        pts = list(zip(abscissae[:k], ordinates[:k]))
+        rows.append(list(PrimeField(q).interpolate(pts)))
+    return vault, np.array(rows, dtype=np.int64)
+
+
+@given(scan_cases())
+def test_batched_hit_counts_match_python_scan(case):
+    vault, coeffs = case
+    index = VaultIndex(vault)
+    hits = index.hits(coeffs)
+    for row, h in zip(coeffs.tolist(), hits.tolist()):
+        assert h == index.count_hits_python(row) == index.count_hits(row)
+
+
+def test_count_hits_of_the_true_polynomial_at_default_q():
+    for quiz_n in (0, 4):
+        tpl = gen_template(8, seed=2)
+        vault, truth = lock(tpl, Secret.random(40, random.Random(2)),
+                            VaultParams(k=3, t=8, r=30, quiz_n=quiz_n), seed=2)
+        index = VaultIndex(vault)
+        assert index.count_hits(truth.coeffs) == index.count_hits_python(truth.coeffs) == 8
+
+
+def _oracle_search(index, rng, budget, D, sweep):
+    """One candidate at a time through PrimeField.interpolate and the Python
+    scan, in the order the search engine must reproduce."""
+    q, k, r = index.q, index.k, index.r
+    assignments = list(itertools.product(index.offsets, repeat=k)) if sweep else [(0,) * k]
+    trials = interps = 0
+    for _ in range(budget):
+        sub = rng.sample(range(r), k)
+        trials += 1
+        for offs in assignments:
+            pts = [(index.xs[i], (index.ys[i] + o) % q) for i, o in zip(sub, offs)]
+            coeffs = index.field.interpolate(pts)
+            interps += 1
+            if index.count_hits_python(coeffs) >= D:
+                return coeffs, trials, interps, interps * (r - k)
+    return None, trials, interps, interps * (r - k)
+
+
+@pytest.mark.parametrize("quiz_n, budget", [(0, 10_000), (0, 7), (4, 10_000), (4, 3)])
+def test_search_matches_one_candidate_oracle(quiz_n, budget):
+    tpl = gen_template(8, seed=4)
+    vault, _ = lock(tpl, Secret.random(40, random.Random(4)),
+                    VaultParams(k=3, t=8, r=30, quiz_n=quiz_n), seed=4)
+    index = VaultIndex(vault)
+    for seed in range(4):
+        got = search(index, None, random.Random(seed), budget, D=6, sweep=bool(quiz_n))
+        want = _oracle_search(index, random.Random(seed), budget, 6, bool(quiz_n))
+        assert got == want
+
+
+def _with_points(vault, points):
+    extra = tuple(VaultRecord(p["x"], p["y"], p["Y"]) for p in points)
+    return Vault(vault.q, vault.k, vault.d, vault.grid, vault.quiz_n, vault.records + extra)
+
+
+def test_duplicate_abscissae_rejected_before_search():
+    tpl = gen_template(15, seed=1)
+    vault, _ = lock(tpl, Secret.random(64, random.Random(1)), VaultParams(k=6, t=15, r=60),
+                    seed=1)
+    first = vault.records[0]
+    X = (first.x << 8 | first.y) + vault.q  # the same abscissa mod q, out of frame
+    for extra in ({"x": first.x, "y": first.y, "Y": 1}, {"x": X >> 8, "y": X & 255, "Y": 1}):
+        bad = _with_points(vault, [extra])
+        with pytest.raises(ValueError, match="abscissa"):
+            VaultIndex(bad)
+        with pytest.raises(ValueError, match="abscissa"):
+            brute_force_attack(bad, D=9, budget=10, seed=0)
+        with pytest.raises(ValueError, match="abscissa"):
+            unlock(bad, tpl, D=9, bits=64, seed=0)
+
+
+class _CountingExecutor(ProcessPoolExecutor):
+    submits = 0
+
+    def submit(self, *args, **kwargs):
+        type(self).submits += 1
+        return super().submit(*args, **kwargs)
+
+
+@pytest.fixture
+def counting_pool(monkeypatch):
+    monkeypatch.setattr(_CountingExecutor, "submits", 0)
+    monkeypatch.setattr(consensus, "ProcessPoolExecutor", _CountingExecutor)
+    return _CountingExecutor
+
+
+def _no_chaff():
+    tpl = gen_template(15, seed=1)
+    secret = Secret.random(64, random.Random(5))
+    vault, _ = lock(tpl, secret, VaultParams(k=6, t=15, r=15), seed=7)
+    return tpl, secret, vault
+
+
+@pytest.mark.parametrize("side", ["attack", "unlock"])
+def test_pool_keeps_a_bounded_window_of_chunks(counting_pool, side):
+    # every candidate of a chaff-free vault succeeds, so the first chunk
+    # ends the search; a budget of 10**7 must not be queued up front
+    tpl, secret, vault = _no_chaff()
+    start = time.perf_counter()
+    if side == "attack":
+        result = brute_force_attack(vault, D=9, budget=10**7, bits=64, seed=0, workers=2)
+    else:
+        result = unlock(vault, tpl, D=9, bits=64, budget=10**7, seed=0, workers=2)
+    assert result.success and result.secret == secret
+    assert counting_pool.submits <= 2 * 2
+    assert time.perf_counter() - start < 60
+
+
+def test_pool_spends_the_exact_budget_when_nothing_succeeds(counting_pool):
+    tpl = gen_template(15, seed=1)
+    vault, _ = lock(tpl, Secret.random(64, random.Random(1)), VaultParams(k=6, t=15, r=60),
+                    seed=1)
+    report = brute_force_attack(vault, D=vault.r, budget=1300, seed=3, workers=2)
+    assert not report.success
+    assert report.trials == report.interpolations == 1300
+    assert counting_pool.submits == 3  # chunks of 512, 512 and 276

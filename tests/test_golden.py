@@ -1,0 +1,142 @@
+"""Pinned report bytes for fixed seeds.
+
+Attack and unlock reports must replay byte for byte across versions of the
+search engine: the candidate stream (subset draws, transform assignments,
+acceptance order, budget cut) is part of the file format.  A mismatch here
+means a counter or the recovered secret moved for a given seed.
+"""
+
+import json
+import random
+
+import pytest
+
+from fuzzyvault import (
+    RecaptureModel,
+    Secret,
+    Template,
+    VaultParams,
+    brute_force_attack,
+    gen_template,
+    get_preset,
+    lock,
+    recapture,
+    unlock,
+    vault_params,
+)
+from fuzzyvault.attack import report_to_dict
+from fuzzyvault.simulate import Minutia
+from fuzzyvault.unlock import result_to_dict
+
+
+def _locked(params, t, bits, seed):
+    tpl = gen_template(t, seed=seed)
+    vault, truth = lock(tpl, Secret.random(bits, random.Random(seed)), params, seed=seed)
+    return tpl, vault, truth
+
+
+def _noisy(tpl, seed):
+    return recapture(tpl, RecaptureModel(), seed=seed)
+
+
+def attack_small(seed):
+    _, vault, _ = _locked(vault_params(get_preset("small-attack")), 15, 64, seed)
+    return report_to_dict(brute_force_attack(vault, D=9, t_assumed=15, bits=64, seed=seed))
+
+
+def attack_quiz(seed):
+    _, vault, _ = _locked(VaultParams(k=3, t=8, r=30, quiz_n=4), 8, 40, seed)
+    return report_to_dict(brute_force_attack(vault, D=6, t_assumed=8, bits=40, seed=seed))
+
+
+def attack_crc_budget(seed, workers=1):
+    _, vault, _ = _locked(vault_params(get_preset("uludag")), 25, 112, seed)
+    return report_to_dict(brute_force_attack(
+        vault, mode="crc", bits=112, budget=1500, seed=seed, workers=workers))
+
+
+def attack_exhaustive(seed):
+    _, vault, _ = _locked(VaultParams(k=3, t=6, r=10), 6, 32, seed)
+    return report_to_dict(brute_force_attack(vault, D=6, exhaustive=True, bits=32, seed=seed))
+
+
+def attack_clancy_budget(seed):
+    _, vault, _ = _locked(vault_params(get_preset("clancy")), 40, 112, seed)
+    return report_to_dict(brute_force_attack(vault, D=17, budget=300, bits=112, seed=seed))
+
+
+def unlock_threshold(seed):
+    tpl, vault, _ = _locked(vault_params(get_preset("clancy")), 40, 112, seed)
+    return result_to_dict(unlock(vault, _noisy(tpl, seed), D=17, bits=112, seed=seed))
+
+
+def unlock_crc(seed):
+    tpl, vault, _ = _locked(vault_params(get_preset("uludag")), 25, 112, seed)
+    return result_to_dict(unlock(vault, _noisy(tpl, seed), mode="crc", bits=112, seed=seed))
+
+
+def unlock_quiz(seed):
+    tpl, vault, _ = _locked(VaultParams(k=3, t=8, r=30, quiz_n=4), 8, 40, seed)
+    return result_to_dict(unlock(vault, tpl, D=6, bits=40, seed=seed))
+
+
+def unlock_exhausted(seed, workers=1):
+    # a probe matching chaff records only: no candidate can be accepted
+    _, vault, truth = _locked(vault_params(get_preset("small-attack")), 15, 64, seed)
+    genuine = set(truth.genuine_indices)
+    chaff = [rec for i, rec in enumerate(vault.records) if i not in genuine][:10]
+    probe = Template(tuple(Minutia(rec.x, rec.y, 0.1) for rec in chaff), 256, 256)
+    return result_to_dict(unlock(vault, probe, D=9, bits=64, budget=300, seed=seed,
+                                 workers=workers))
+
+
+GOLDEN = [
+    (attack_small, 3, {},
+     '{"success": true, "secret_hex": "97b750923ceb3ffd",'
+     ' "trials": 605, "interpolations": 605, "point_checks": 32670, "seed": 3, "workers": 1}'),
+    (attack_small, 8, {},
+     '{"success": true, "secret_hex": "5ed34fe53a096533",'
+     ' "trials": 8266, "interpolations": 8266, "point_checks": 446364, "seed": 8, "workers": 1}'),
+    (attack_quiz, 4, {},
+     '{"success": true, "secret_hex": "4d3c6da5d7",'
+     ' "trials": 6, "interpolations": 338, "point_checks": 9288, "seed": 4, "workers": 1}'),
+    (attack_quiz, 12, {},
+     '{"success": true, "secret_hex": "44797d76de",'
+     ' "trials": 143, "interpolations": 9093, "point_checks": 245673, "seed": 12, "workers": 1}'),
+    (attack_crc_budget, 5, {},
+     '{"success": false,'
+     ' "trials": 1500, "interpolations": 1500, "point_checks": 0, "seed": 5, "workers": 1}'),
+    (attack_crc_budget, 6, {"workers": 2},
+     '{"success": false,'
+     ' "trials": 1500, "interpolations": 1500, "point_checks": 0, "seed": 6, "workers": 2}'),
+    (attack_exhaustive, 8, {},
+     '{"success": true, "secret_hex": "3a096533",'
+     ' "trials": 101, "interpolations": 101, "point_checks": 707, "seed": 8, "workers": 1}'),
+    (attack_clancy_budget, 7, {},
+     '{"success": false,'
+     ' "trials": 300, "interpolations": 300, "point_checks": 89700, "seed": 7, "workers": 1}'),
+    (unlock_threshold, 7, {},
+     '{"success": true, "secret_hex": "6513269e0d37f2a74de452e6b438",'
+     ' "candidates": 1, "interpolations": 1, "seed": 7}'),
+    (unlock_threshold, 10, {},
+     '{"success": true, "secret_hex": "7b896dcbac5008577eb1924770d3",'
+     ' "candidates": 7, "interpolations": 7, "seed": 10}'),
+    (unlock_crc, 5, {},
+     '{"success": true, "secret_hex": "5bc8bde5c0994164d8399f767c45",'
+     ' "candidates": 6, "interpolations": 6, "seed": 5}'),
+    (unlock_quiz, 4, {},
+     '{"success": true, "secret_hex": "4d3c6da5d7",'
+     ' "candidates": 1, "interpolations": 1, "seed": 4}'),
+    (unlock_exhausted, 2, {},
+     '{"success": false, "candidates": 300, "interpolations": 300, "seed": 2}'),
+    (unlock_exhausted, 3, {"workers": 2},
+     '{"success": false, "candidates": 300, "interpolations": 300, "seed": 3}'),
+]
+
+
+@pytest.mark.parametrize(
+    "case, seed, kwargs, expected", GOLDEN,
+    ids=[f"{case.__name__}-{seed}{'-w2' if kw else ''}" for case, seed, kw, _ in GOLDEN],
+)
+def test_report_bytes_are_pinned(case, seed, kwargs, expected):
+    assert json.dumps(case(seed, **kwargs)) == expected
