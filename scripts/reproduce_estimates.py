@@ -8,6 +8,7 @@ Usage: python scripts/reproduce_estimates.py
 import math
 
 from fuzzyvault import PRESETS, analysis
+from fuzzyvault.presets import reference_lines
 
 
 def main() -> None:
@@ -20,24 +21,8 @@ def main() -> None:
     print()
     print("reference figures from the published parameter families:")
     for preset, est in rows:
-        if preset.reported_attack_bits is None:
-            print(f"  {preset.name}: no reported complexity on record")
-            continue
-        gap = est.log2_R_bound - preset.reported_attack_bits
-        verdict = "within 2 bits" if abs(gap) <= 2 else "NOT reproduced"
-        print(
-            f"  {preset.name}: reported ~2^{preset.reported_attack_bits:.0f}, "
-            f"computed work bound 2^{est.log2_R_bound:.2f} (gap {gap:+.2f}) "
-            f"-> {verdict}"
-        )
-        if preset.reported_threshold_bits is not None:
-            gap_d = est.log2_Cbf - preset.reported_threshold_bits
-            verdict_d = "within 2 bits" if abs(gap_d) <= 2 else "NOT reproduced"
-            print(
-                f"  {preset.name}: threshold criterion reported O(2^"
-                f"{preset.reported_threshold_bits:.0f}), computed "
-                f"2^{est.log2_Cbf:.2f} (gap {gap_d:+.2f}) -> {verdict_d}"
-            )
+        for line in reference_lines(preset, est) or ["no reported complexity on record"]:
+            print(f"  {preset.name}: {line}")
     print()
     print("supplementary figures for the clancy family:")
     exact = analysis.trial_odds(313, 38, 14)[1]

@@ -17,12 +17,11 @@ import math
 import time
 from array import array
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .coding import Secret, coeffs_pass_crc, decode_secret
-from .consensus import VaultIndex, search, search_pool
+from .coding import Secret, coeffs_pass_crc, try_decode
+from .consensus import VaultIndex, search, search_pool, stop_rule
 from .geometry import PointGrid
 from .seeds import substream
 from .vault import Vault
@@ -49,15 +48,6 @@ def default_budget(r: int, t: int, k: int) -> int:
     are below (1 - 1/E)**(20 E) ~ e**-20."""
     expected = math.comb(r, k) / math.comb(t, k)
     return max(1, math.ceil(20 * expected))
-
-
-def _decode_recovered(coeffs, bits, crc):
-    if bits is None:
-        return None
-    try:
-        return decode_secret(coeffs, bits, crc=crc)
-    except ValueError:
-        return None
 
 
 def _canonical_quiz_candidate(index: VaultIndex, coeffs):
@@ -98,19 +88,11 @@ def brute_force_attack(
     ``budget`` defaults to 20x the expected trial count, which requires the
     attacker to assume a genuine count ``t_assumed``.  ``exhaustive``
     iterates k-subsets in lexicographic order instead of sampling (tiny
-    instances only).  With workers == 1 the report is bit-reproducible for
-    a fixed seed; more workers split the budget into seeded chunks, so trial
-    counters may vary between runs but any recovered secret is identical.
+    instances only).  The report is bit-reproducible for a fixed seed; more
+    than one worker splits the budget into seeded chunks, which draw other
+    subsets than one worker does but give the same report for any count.
     """
-    if mode not in ("threshold", "crc"):
-        raise ValueError(f"unknown stop rule: {mode!r}")
-    if mode == "crc" and bits is None:
-        raise ValueError("crc mode needs the secret bit length")
-    if mode == "threshold":
-        if D is None:
-            D = vault.k + 3
-        if D > vault.r:
-            raise ValueError(f"threshold D={D} exceeds vault size r={vault.r}")
+    rule = stop_rule(vault, mode, D, bits, coeffs_pass_crc)
     if budget is None:
         if exhaustive:
             budget = math.comb(vault.r, vault.k)
@@ -121,8 +103,7 @@ def brute_force_attack(
 
     start = time.perf_counter()
     index = VaultIndex(vault)
-    rule = dict(D=D, crc=partial(coeffs_pass_crc, bits=bits) if mode == "crc" else None,
-                sweep=index.offsets is not None)
+    rule["sweep"] = index.offsets is not None
     if exhaustive:
         subsets = itertools.combinations(range(vault.r), vault.k)
         coeffs, trials, interps, checks = search(index, None, None, budget, subsets=subsets,
@@ -141,7 +122,7 @@ def brute_force_attack(
     elapsed = time.perf_counter() - start
     if coeffs is None:
         return AttackReport(False, None, None, trials, interps, checks, elapsed, seed, workers)
-    secret = _decode_recovered(coeffs, bits, mode == "crc")
+    secret = try_decode(coeffs, bits, mode == "crc")
     return AttackReport(True, coeffs, secret, trials, interps, checks, elapsed, seed, workers)
 
 

@@ -11,14 +11,13 @@ import argparse
 import functools
 import json
 import math
-import os
 import secrets as _entropy
 import sys
 
 from . import analysis
 from .attack import brute_force_attack, correlate_vaults, count_matching_polynomials, report_to_dict
 from .coding import Secret, capacity_bits
-from .presets import PRESETS, get_preset
+from .presets import PRESETS, get_preset, reference_lines, vault_params
 from .seeds import substream
 from .simulate import (
     RecaptureModel,
@@ -35,9 +34,6 @@ from .vault import (
     vault_from_json,
     vault_to_json,
 )
-
-_DEFAULT_WORKERS = int(os.environ.get("FUZZYVAULT_WORKERS", "1"))
-
 
 def _log(message: str) -> None:
     print(message, file=sys.stderr)
@@ -72,28 +68,6 @@ def _int_list(text: str) -> list[int]:
 # lock
 
 
-def _build_params(args) -> VaultParams:
-    if args.preset:
-        preset = get_preset(args.preset)
-        values = dict(
-            k=preset.k, t=preset.t, r=preset.r, q=preset.q, d=preset.d,
-            crc=preset.crc, quiz_n=preset.quiz_n,
-        )
-    else:
-        if args.k is None or args.t is None or args.r is None:
-            raise ValueError("without --preset, --k, --t and --r are required")
-        values = dict(k=args.k, t=args.t, r=args.r)
-    for name in ("q", "k", "t", "r", "d", "quiz_n", "width", "height"):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            values[name] = flag
-    if args.crc is not None:
-        values["crc"] = args.crc == "on"
-    if args.grid is not None:
-        values["grid"] = args.grid
-    return VaultParams(**values)
-
-
 def _resolve_secret(args, params: VaultParams, seed: int) -> Secret:
     if args.secret_hex and args.secret_file:
         raise ValueError("give at most one of --secret-hex and --secret-file")
@@ -115,7 +89,14 @@ def _resolve_secret(args, params: VaultParams, seed: int) -> Secret:
 
 def cmd_lock(args) -> int:
     seed = _resolve_seed(args)
-    params = _build_params(args)
+    if not args.preset and (args.k is None or args.t is None or args.r is None):
+        raise ValueError("without --preset, --k, --t and --r are required")
+    params = vault_params(
+        get_preset(args.preset) if args.preset else None,
+        q=args.q, k=args.k, t=args.t, r=args.r, d=args.d, quiz_n=args.quiz_n,
+        width=args.width, height=args.height, grid=args.grid,
+        crc=None if args.crc is None else args.crc == "on",
+    )
     template = template_from_json(_read(args.template))
     secret = _resolve_secret(args, params, seed)
     vault, truth = lock(template, secret, params, seed)
@@ -187,33 +168,9 @@ def _annotate_estimate(est: analysis.ComplexityEstimate, preset_name: str | None
         f"secret capacity at k={est.k}: {capacity_bits(est.k, False)} bits plain, "
         f"{capacity_bits(est.k, True)} bits with crc"
     )
-    if not preset_name:
-        return
-    preset = get_preset(preset_name)
-    if preset.reported_attack_bits is not None:
-        gap = est.log2_R_bound - preset.reported_attack_bits
-        verdict = "within 2 bits" if abs(gap) <= 2.0 else "unreproduced"
-        _log(
-            f"literature reference: ~2^{preset.reported_attack_bits:.0f} brute-force work "
-            f"reported for this family; computed log2_R_bound = {est.log2_R_bound:.2f} "
-            f"(gap {gap:+.2f} bits) -- {verdict}"
-        )
-    if preset.reported_threshold_bits is not None:
-        gap = est.log2_Cbf - preset.reported_threshold_bits
-        verdict = "within 2 bits" if abs(gap) <= 2.0 else "unreproduced"
-        _log(
-            f"literature reference: O(2^{preset.reported_threshold_bits:.0f}) reported for "
-            f"the threshold criterion; computed log2_Cbf = {est.log2_Cbf:.2f} "
-            f"(gap {gap:+.2f} bits) -- {verdict}"
-        )
-    if preset.reported_security_bits is not None:
-        gap = est.log2_F - preset.reported_security_bits
-        verdict = "within 2 bits" if abs(gap) <= 2.0 else "unreproduced"
-        _log(
-            f"literature reference: security factor ~2^"
-            f"{preset.reported_security_bits:.0f}; computed log2_F = "
-            f"{est.log2_F:.2f} (gap {gap:+.2f} bits) -- {verdict}"
-        )
+    if preset_name:
+        for line in reference_lines(get_preset(preset_name), est):
+            _log(line)
 
 
 def cmd_estimate(args) -> int:
@@ -333,8 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="master seed; generated and printed when omitted")
 
     def add_workers(p):
-        p.add_argument("--workers", type=int, default=_DEFAULT_WORKERS,
-                       help="worker processes (default from FUZZYVAULT_WORKERS or 1)")
+        p.add_argument("--workers", type=int, default=1, help="worker processes")
 
     p = sub.add_parser("lock", help="build a vault from a template and a secret")
     p.add_argument("--preset", choices=sorted(PRESETS))

@@ -151,6 +151,17 @@ def decode_secret(coeffs, bits: int, crc: bool = False) -> Secret:
     return Secret(data, bits)
 
 
+def try_decode(coeffs, bits: int | None, crc: bool) -> Secret | None:
+    """The secret an accepted candidate encodes, or None when the bit length
+    is unknown or the coefficients are not a valid encoding."""
+    if bits is None:
+        return None
+    try:
+        return decode_secret(coeffs, bits, crc=crc)
+    except ValueError:
+        return None
+
+
 def coeffs_pass_crc(coeffs, bits: int) -> bool:
     """Fast CRC acceptance predicate for candidate polynomials (no exceptions;
     used in attack/unlock hot loops)."""

@@ -21,6 +21,7 @@ import itertools
 import math
 import random
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from functools import partial
 
 import numpy as np
 
@@ -34,6 +35,9 @@ BATCH_ELEMENTS = 2**14
 # Crossover, measured at q = 65537 and q = 2**31 - 1, below which Python's
 # pow inverts an array faster than numpy exponentiation.
 SMALL_INVERSE = 64
+# Bound on n**k * max(r, k*k), the int64 elements one subset's quiz sweep
+# needs at once (128 MiB); beyond it the sweep is refused, not attempted.
+SWEEP_ELEMENTS = 2**24
 
 
 class VaultIndex:
@@ -159,6 +163,23 @@ def interpolate(xs: np.ndarray, ys: np.ndarray, q: int) -> np.ndarray:
     return (ys[..., None] * basis[:, None] % q).sum(axis=2) % q
 
 
+def stop_rule(vault: Vault, mode: str, D: int | None, bits: int | None, crc) -> dict:
+    """The ``search`` keywords of a stop rule.  "threshold" accepts at >= D
+    vault records on the graph (default D = k+3, at most r); "crc" accepts
+    when ``crc(coeffs, bits=bits)`` holds and needs the secret bit length."""
+    if mode not in ("threshold", "crc"):
+        raise ValueError(f"unknown stop rule: {mode!r}")
+    if mode == "crc":
+        if bits is None:
+            raise ValueError("crc mode needs the secret bit length")
+        return dict(D=None, crc=partial(crc, bits=bits))
+    if D is None:
+        D = vault.k + 3
+    if D > vault.r:
+        raise ValueError(f"threshold D={D} exceeds vault size r={vault.r}")
+    return dict(D=D, crc=None)
+
+
 def search(index: VaultIndex, points, rng: random.Random | None, budget: int,
            D: int | None = None, crc=None, subsets=None, sweep: bool = False):
     """Draw k-subsets of ``points`` until one yields an accepted candidate or
@@ -176,6 +197,9 @@ def search(index: VaultIndex, points, rng: random.Random | None, budget: int,
     q, k = index.q, index.k
     xs, ys = (index._x, index._y) if points is None else points
     if sweep:
+        n = len(index.offsets)
+        if n**k * max(index.r, k * k) > SWEEP_ELEMENTS:
+            raise ValueError(f"quiz sweep of {n}**{k} assignments exceeds the memory bound")
         assignments = np.array(list(itertools.product(index.offsets, repeat=k)), dtype=np.int64)
     else:
         assignments = np.zeros((1, k), dtype=np.int64)
@@ -227,26 +251,32 @@ def search_pool(vault: Vault, points, budget: int, chunk: int, label: str, worke
     """``search`` split into seeded chunks of ``chunk`` subsets, chunk i
     drawing from ``random.Random(f"{label}{i}")``, run on ``workers``
     processes.  At most 2 * workers chunks are in flight; the next is
-    submitted as one completes, and none once a chunk succeeds.  ``points``
-    None means the vault's own records.  Returns the summed counters."""
-    coeffs, totals = None, [0, 0, 0]
+    submitted as one completes, and none once a chunk succeeds.  The lowest
+    succeeding chunk wins and the counters are summed over the chunks up to
+    it, so the result does not depend on the worker count or on timing.
+    ``points`` None means the vault's own records."""
     n_chunks = math.ceil(budget / chunk)
     submitted = 0
-    pending: set = set()
+    results: dict = {}
+    pending: dict = {}
+    winner = None
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(vault, points, D, crc, sweep)) as pool:
-        while coeffs is None:
-            while submitted < n_chunks and len(pending) < 2 * workers:
+        while True:
+            while winner is None and submitted < n_chunks and len(pending) < 2 * workers:
                 size = min(chunk, budget - submitted * chunk)
-                pending.add(pool.submit(_run_chunk, f"{label}{submitted}", size))
+                pending[pool.submit(_run_chunk, f"{label}{submitted}", size)] = submitted
                 submitted += 1
-            if not pending:
+            if not pending or (winner is not None and min(pending.values()) > winner):
                 break
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
+            done, _ = wait(pending, return_when=FIRST_COMPLETED)
             for fut in done:
-                c, *counts = fut.result()
-                totals = [a + b for a, b in zip(totals, counts)]
-                coeffs = coeffs or c
+                i = pending.pop(fut)
+                results[i] = fut.result()
+                if results[i][0] is not None and (winner is None or i < winner):
+                    winner = i
         for fut in pending:
             fut.cancel()
-    return (coeffs, *totals)
+    last = n_chunks - 1 if winner is None else winner
+    totals = [sum(results[i][j] for i in range(last + 1)) for j in (1, 2, 3)]
+    return (None if winner is None else results[winner][0], *totals)

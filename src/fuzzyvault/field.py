@@ -60,26 +60,11 @@ class PrimeField:
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.q == self.q
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.q
-
-    def neg(self, a: int) -> int:
-        return -a % self.q
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse via Fermat: a**(q-2) mod q."""
         if a % self.q == 0:
             raise ZeroDivisionError("inverse of zero in the field")
         return pow(a, self.q - 2, self.q)
-
-    def div(self, a: int, b: int) -> int:
-        return a * self.inv(b) % self.q
 
     def batch_inv(self, values: list[int]) -> list[int]:
         """Inverses of all values with a single exponentiation (Montgomery trick)."""
@@ -95,9 +80,6 @@ class PrimeField:
             out[i] = prefix[i] * acc % q
             acc = acc * values[i] % q
         return out
-
-    def rand_element(self, rng: random.Random) -> int:
-        return rng.randrange(self.q)
 
     def random_polynomial(self, k: int, rng: random.Random) -> tuple[int, ...]:
         """Uniform coefficient vector of length k, constant term first."""

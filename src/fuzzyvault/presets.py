@@ -65,10 +65,39 @@ def get_preset(name: str) -> Preset:
         ) from None
 
 
-def vault_params(preset: Preset, **overrides) -> VaultParams:
-    base = dict(
+def vault_params(preset: Preset | None, **overrides) -> VaultParams:
+    """The preset's parameters (the VaultParams defaults without a preset)
+    with every override that is not None applied on top."""
+    base = {} if preset is None else dict(
         k=preset.k, t=preset.t, r=preset.r, q=preset.q, d=preset.d,
         crc=preset.crc, quiz_n=preset.quiz_n,
     )
-    base.update(overrides)
+    base.update((name, value) for name, value in overrides.items() if value is not None)
     return VaultParams(**base)
+
+
+# (preset figure, computed estimate field, how the literature states it)
+_REFERENCES = (
+    ("reported_attack_bits", "log2_R_bound", "~2^{:.0f} brute-force work reported for this family"),
+    ("reported_threshold_bits", "log2_Cbf", "O(2^{:.0f}) reported for the threshold criterion"),
+    ("reported_security_bits", "log2_F", "security factor ~2^{:.0f}"),
+)
+
+
+def reference_lines(preset: Preset, est) -> list[str]:
+    """One line per literature figure on record for the preset: the computed
+    counterpart from ``est`` (an analysis.ComplexityEstimate) and the gap,
+    reproduced when within 2 bits."""
+    lines = []
+    for reported_name, computed_name, claim in _REFERENCES:
+        reported = getattr(preset, reported_name)
+        if reported is None:
+            continue
+        computed = getattr(est, computed_name)
+        gap = computed - reported
+        verdict = "within 2 bits" if abs(gap) <= 2.0 else "unreproduced"
+        lines.append(
+            f"literature reference: {claim.format(reported)}; computed {computed_name} = "
+            f"{computed:.2f} (gap {gap:+.2f} bits) -- {verdict}"
+        )
+    return lines

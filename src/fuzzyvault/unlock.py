@@ -12,16 +12,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .coding import Secret, coeffs_pass_crc, decode_secret
-from .consensus import VaultIndex, search, search_pool
+from .coding import Secret, coeffs_pass_crc, try_decode
+from .consensus import VaultIndex, search, search_pool, stop_rule
 from .quiz import apply_transform, recover_index
 from .seeds import substream
 from .simulate import Minutia, Template
-from .vault import Vault, concat_coord, coord_shift
+from .vault import Vault
 
 DEFAULT_BUDGET = 10_000
 PARALLEL_CHUNK_CANDIDATES = 64
@@ -75,21 +74,18 @@ def build_unlocking_set(vault: Vault, template: Template, tau: float) -> Unlocki
     return UnlockingSet(tuple(pairs), tau)
 
 
-def _candidate_points(vault: Vault, uset: UnlockingSet) -> np.ndarray:
+def _candidate_points(vault: Vault, index: VaultIndex, uset: UnlockingSet) -> np.ndarray:
     """(X mod q, true ordinate) of the matched records, as a (2, len(uset))
     array.  In quiz mode the transform index is recovered from the matched
     minutia's orientation."""
-    shift = coord_shift(vault.q)
     qp = vault.quiz_params()
     pts = []
     for ri, m in uset.pairs:
         rec = vault.records[ri]
-        x_cat = concat_coord(rec.x, rec.y, shift) % vault.q
-        if qp is None:
-            pts.append((x_cat, rec.value))
-        else:
-            j = recover_index(m.theta, rec.beta, qp.n)
-            pts.append((x_cat, apply_transform(rec.value, j, qp)))
+        y = rec.value
+        if qp is not None:
+            y = apply_transform(y, recover_index(m.theta, rec.beta, qp.n), qp)
+        pts.append((index.xs[ri], y))
     return np.array(pts, dtype=np.int64).T
 
 
@@ -114,14 +110,9 @@ def consensus_decode(
     polynomial carries a CRC coefficient (defaults to mode == "crc").
     A failure result signals insufficient overlap, not corruption.
     """
-    if mode not in ("threshold", "crc"):
-        raise ValueError(f"unknown decode mode: {mode!r}")
-    if mode == "crc" and bits is None:
-        raise ValueError("crc mode needs the secret bit length")
+    rule = stop_rule(vault, mode, D, bits, coeffs_pass_crc)
     if crc_encoded is None:
         crc_encoded = mode == "crc"
-    if mode == "threshold" and D is None:
-        D = vault.k + 3
 
     start = time.perf_counter()
     index = VaultIndex(vault)
@@ -129,9 +120,8 @@ def consensus_decode(
         return UnlockResult(
             False, None, None, 0, 0, time.perf_counter() - start, seed, mode, workers
         )
-    points = _candidate_points(vault, uset)
+    points = _candidate_points(vault, index, uset)
 
-    rule = dict(D=D, crc=partial(coeffs_pass_crc, bits=bits) if mode == "crc" else None)
     if workers <= 1:
         coeffs, candidates, interps, _ = search(index, points, substream(seed, "unlock"),
                                                 budget, **rule)
@@ -144,12 +134,7 @@ def consensus_decode(
     elapsed = time.perf_counter() - start
     if coeffs is None:
         return UnlockResult(False, None, None, candidates, interps, elapsed, seed, mode, workers)
-    secret = None
-    if bits is not None:
-        try:
-            secret = decode_secret(coeffs, bits, crc=crc_encoded)
-        except ValueError:
-            secret = None
+    secret = try_decode(coeffs, bits, crc_encoded)
     return UnlockResult(True, secret, coeffs, candidates, interps, elapsed, seed, mode, workers)
 
 

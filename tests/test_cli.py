@@ -1,5 +1,5 @@
 import json
-import os
+import resource
 import subprocess
 import sys
 
@@ -100,6 +100,16 @@ class TestUnlockAttack:
         ])
         assert r.returncode == 3
 
+    def test_unlock_threshold_above_vault_size_exits_2(self, workdir):
+        r = run([
+            "unlock", "--vault", str(workdir / "vault.json"),
+            "--template", str(workdir / "tpl15.json"), "--D", "61", "--bits", "64",
+            "--seed", "2",
+        ])
+        assert r.returncode == 2
+        assert r.stderr.startswith("error:") and "exceeds vault size" in r.stderr
+        assert len(r.stderr.splitlines()) == 1
+
     def test_attack_succeeds_with_report_schema(self, workdir):
         out = workdir / "attack.json"
         r = run([
@@ -149,6 +159,27 @@ class TestEstimateSweep:
         assert "2^50" in r.stderr and "unreproduced" in r.stderr
         assert "2^69" in r.stderr
         assert "2^44" in r.stderr  # reported security factor, also on record
+
+    @pytest.mark.parametrize("preset, expected", [
+        ("clancy",
+         "secret capacity at k=14: 224 bits plain, 208 bits with crc\n"
+         "literature reference: ~2^50 brute-force work reported for this family; "
+         "computed log2_R_bound = 57.69 (gap +7.69 bits) -- unreproduced\n"
+         "literature reference: O(2^69) reported for the threshold criterion; "
+         "computed log2_Cbf = 57.21 (gap -11.79 bits) -- unreproduced\n"
+         "literature reference: security factor ~2^44; "
+         "computed log2_F = 55.57 (gap +11.57 bits) -- unreproduced\n"),
+        ("uludag",
+         "secret capacity at k=8: 128 bits plain, 112 bits with crc\n"
+         "literature reference: ~2^36 brute-force work reported for this family; "
+         "computed log2_R_bound = 37.64 (gap +1.64 bits) -- within 2 bits\n"),
+        ("small-attack",
+         "secret capacity at k=6: 96 bits plain, 80 bits with crc\n"),
+    ])
+    def test_estimate_annotations_are_pinned(self, preset, expected):
+        r = run(["estimate", "--preset", preset])
+        assert r.returncode == 0
+        assert r.stderr == expected
 
     def test_estimate_uludag_within_two_bits(self):
         r = run(["estimate", "--preset", "uludag"])
@@ -247,22 +278,43 @@ class TestSimulateSpuriousCorrelate:
         assert obj["count"] == len(obj["points"])
 
 
-class TestWorkersEnv:
-    def test_default_worker_count_from_environment(self, workdir):
-        env = dict(os.environ, FUZZYVAULT_WORKERS="2")
-        out = workdir / "env_attack.json"
-        r = subprocess.run(
-            CLI + [
+class TestWorkers:
+    def test_to_success_report_is_independent_of_worker_count(self, workdir):
+        reports = []
+        for workers in (2, 3):
+            out = workdir / f"attack_workers_{workers}.json"
+            r = run([
                 "attack", "--vault", str(workdir / "vault.json"),
-                "--preset", "small-attack", "--bits", "64", "--seed", "5",
-                "-o", str(out),
-            ],
-            capture_output=True, text=True, env=env,
-        )
+                "--preset", "small-attack", "--bits", "64", "--seed", "11",
+                "--workers", str(workers), "-o", str(out),
+            ])
+            assert r.returncode == 0
+            obj = json.loads(out.read_text())
+            assert obj.pop("workers") == workers
+            assert obj["secret_hex"] == "0011223344556677"
+            reports.append(obj)
+        assert reports[0] == reports[1]
+
+
+def _cap_address_space():
+    # an oversized allocation then fails fast instead of exhausting the machine
+    resource.setrlimit(resource.RLIMIT_AS, (3 * 2**29, 3 * 2**29))
+
+
+class TestQuizSweepBound:
+    def test_oversized_sweep_is_a_parameter_error(self, workdir):
+        # 16**8 transform assignments per subset cannot be materialised
+        vault = workdir / "quiz_k8_n16.json"
+        r = run([
+            "lock", "--k", "8", "--t", "15", "--r", "60", "--quiz-n", "16",
+            "--template", str(workdir / "tpl15.json"), "--seed", "3", "-o", str(vault),
+        ])
         assert r.returncode == 0
-        obj = json.loads(out.read_text())
-        assert obj["workers"] == 2
-        assert obj["secret_hex"] == "0011223344556677"
+        r = run(["attack", "--vault", str(vault), "--D", "11", "--budget", "1", "--seed", "1"],
+                preexec_fn=_cap_address_space, timeout=300)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error:") and len(r.stderr.splitlines()) == 1
+        assert r.stdout == ""
 
 
 class TestReplays:
