@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coding import Secret, coeffs_pass_crc, try_decode
-from .consensus import VaultIndex, search, search_pool, stop_rule
+from .consensus import SWEEP_ELEMENTS, VaultIndex, search, search_pool, stop_rule
 from .geometry import PointGrid
 from .seeds import substream
 from .vault import Vault
@@ -104,6 +104,9 @@ def brute_force_attack(
     start = time.perf_counter()
     index = VaultIndex(vault)
     rule["sweep"] = index.offsets is not None
+    n, k = vault.quiz_n, vault.k
+    if rule["sweep"] and n**k * max(vault.r, k * k) > SWEEP_ELEMENTS:
+        raise ValueError(f"quiz sweep of {n}**{k} assignments exceeds the memory bound")
     if exhaustive:
         subsets = itertools.combinations(range(vault.r), vault.k)
         coeffs, trials, interps, checks = search(index, None, None, budget, subsets=subsets,

@@ -4,10 +4,11 @@ Both sides draw k-subsets of a point list, interpolate a candidate through
 each, then either count the vault records on its graph (threshold rule) or
 check its CRC coefficient.  One search function and one parallel runner
 serve both.  A batch of subsets is interpolated at once in numpy (Lagrange
-form) and scanned with a Horner loop.  Every product is reduced mod q before
-the next and q < 2**31, so int64 arithmetic is exact.  Subsets are drawn
-with the same generator calls as a one-candidate loop and the first
-accepted row in batch order wins, so results do not depend on batch size.
+form).  The Lagrange combine and the scan against the powers X**j mod q are
+each one float64 matrix product, exact below 2**53 with as many limbs as
+(q, k) need, one for every preset (``matmul_mod``).  Subsets are drawn with
+the same generator calls as a one-candidate loop and the first accepted row
+in batch order wins, so results do not depend on batch size.
 
 For quiz vaults the graph test is "any transform index matches": a record
 (X, Y) counts as a hit when (g(X) - Y) mod q is one of the n transform
@@ -25,18 +26,17 @@ from functools import partial
 
 import numpy as np
 
-from .field import PrimeField
 from .quiz import transform_offsets
 from .vault import Vault, concat_coord, coord_shift
 
-# Bound on the elements of the largest temporary array of one batch
-# (rows x max(r, k*k) int64 values, 128 KiB).
+# Bound on rows x max(r, k*k), the largest float64 array of one batch (128
+# KiB).  At clancy a 256-row scan ran ~6x slower per row under BLAS threads.
 BATCH_ELEMENTS = 2**14
 # Crossover, measured at q = 65537 and q = 2**31 - 1, below which Python's
 # pow inverts an array faster than numpy exponentiation.
 SMALL_INVERSE = 64
 # Bound on n**k * max(r, k*k), the int64 elements one subset's quiz sweep
-# needs at once (128 MiB); beyond it the sweep is refused, not attempted.
+# needs at once (128 MiB); the attack refuses a larger sweep before searching.
 SWEEP_ELEMENTS = 2**24
 
 
@@ -48,7 +48,6 @@ class VaultIndex:
     def __init__(self, vault: Vault):
         self.q = vault.q
         self.k = vault.k
-        self.field = PrimeField(vault.q)
         shift = coord_shift(vault.q)
         self.xs = [concat_coord(rec.x, rec.y, shift) % self.q for rec in vault.records]
         self.ys = [rec.value for rec in vault.records]
@@ -59,23 +58,25 @@ class VaultIndex:
         self._y = np.asarray(self.ys, dtype=np.int64)
         if vault.quiz_n:
             self.offsets = transform_offsets(vault.quiz_params())
-            self._offsets = np.asarray(sorted(self.offsets), dtype=np.int64)
+            self._offsets = np.asarray(sorted(self.offsets), dtype=np.float64)
         else:
             self.offsets = None
+        self._powers: dict[int, np.ndarray] = {}
 
     def hits(self, coeffs: np.ndarray) -> np.ndarray:
         """Vault records on each row's graph (any-index match for quiz
-        vaults), for a (rows, k) array of reduced coefficients."""
-        q = self.q
-        vals = np.repeat(coeffs[:, -1:], self.r, axis=1)
-        for j in range(coeffs.shape[1] - 2, -1, -1):
-            vals *= self._x
-            vals += coeffs[:, j, None]
-            vals %= q
+        vaults), for a (rows, width) array of reduced coefficients."""
+        width = coeffs.shape[1]
+        if width not in self._powers:
+            powers = np.ones((width, self.r), dtype=np.int64)
+            for j in range(1, width):
+                powers[j] = powers[j - 1] * self._x % self.q
+            self._powers[width] = powers.astype(np.float64)
+        vals = matmul_mod(coeffs, self._powers[width], self.q)
         if self.offsets is None:
             return (vals == self._y).sum(axis=1)
         vals -= self._y
-        vals %= q
+        np.add(vals, self.q, out=vals, where=vals < 0)
         # a value is an offset iff the first offset not below it equals it
         first_above = self._offsets.take(np.searchsorted(self._offsets, vals), mode="clip")
         return (first_above == vals).sum(axis=1)
@@ -101,6 +102,24 @@ class VaultIndex:
             else:
                 hits += (v - y) % q in offsets
         return hits
+
+
+def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """Exact (a @ b) mod q as float64, for int64 ``a`` and float64 ``b`` in
+    [0, q).  ``a`` is split into limbs of the widest width w with
+    (k+1) * 2**w * q < 2**53, k = a.shape[-1], folded high limb first, so
+    every sum is an integer below 2**53 - q and float64 holds it exactly."""
+    width = ((2**53 - 1) // ((a.shape[-1] + 1) * q)).bit_length() - 1
+    out = None
+    for shift in range(((q - 1).bit_length() - 1) // width * width, -1, -width):
+        v = ((a >> shift) & ((1 << width) - 1)).astype(np.float64) @ b
+        if out is not None:
+            v += out * 2.0**width
+        v -= np.floor(v * (1 / q)) * q  # the float quotient is off by at most one
+        np.add(v, q, out=v, where=v < 0)
+        np.subtract(v, q, out=v, where=v >= q)
+        out = v
+    return out
 
 
 def _inverse(a: np.ndarray, q: int) -> np.ndarray:
@@ -160,7 +179,7 @@ def interpolate(xs: np.ndarray, ys: np.ndarray, q: int) -> np.ndarray:
     basis = numer.transpose(1, 2, 0)
     basis *= _inverse(denom, q)[:, :, None]
     basis %= q
-    return (ys[..., None] * basis[:, None] % q).sum(axis=2) % q
+    return matmul_mod(ys, basis.astype(np.float64), q).astype(np.int64)
 
 
 def stop_rule(vault: Vault, mode: str, D: int | None, bits: int | None, crc) -> dict:
@@ -192,14 +211,11 @@ def search(index: VaultIndex, points, rng: random.Random | None, budget: int,
     ``rng.sample(range(len(xs)), k)``.  The rule is the threshold D on vault
     hits, or, when ``crc`` is given, the predicate ``crc(coeffs)``.
     ``sweep``: try every subset under all n**k quiz transform assignments,
-    in itertools.product order.
+    in itertools.product order; the caller bounds n**k by SWEEP_ELEMENTS.
     """
     q, k = index.q, index.k
     xs, ys = (index._x, index._y) if points is None else points
     if sweep:
-        n = len(index.offsets)
-        if n**k * max(index.r, k * k) > SWEEP_ELEMENTS:
-            raise ValueError(f"quiz sweep of {n}**{k} assignments exceeds the memory bound")
         assignments = np.array(list(itertools.product(index.offsets, repeat=k)), dtype=np.int64)
     else:
         assignments = np.zeros((1, k), dtype=np.int64)

@@ -25,7 +25,6 @@ class Preset:
     reported_attack_bits: float | None = None
     reported_threshold_bits: float | None = None
     reported_security_bits: float | None = None
-    reported_note: str = ""
 
 
 PRESETS: dict[str, Preset] = {
@@ -36,17 +35,12 @@ PRESETS: dict[str, Preset] = {
         reported_attack_bits=50.0,
         reported_threshold_bits=69.0,
         reported_security_bits=44.0,
-        reported_note=(
-            "literature reports ~2^50 brute-force work, a ~2^44 security "
-            "factor, and O(2^69) for the threshold criterion at this family"
-        ),
     ),
     "uludag": Preset(
         name="uludag",
         q=65537, k=8, t=25, r=200, D=11, d=11.0, crc=True, quiz_n=0,
         secret_bits=112,
         reported_attack_bits=36.0,
-        reported_note="literature reports ~2^36 brute-force work",
     ),
     "small-attack": Preset(
         name="small-attack",

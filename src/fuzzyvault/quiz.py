@@ -36,10 +36,6 @@ class QuizParams:
         """Field offset per index: floor(q/n); injective in j since n*step <= q."""
         return self.q // self.n
 
-    @property
-    def bits_per_point(self) -> float:
-        return math.log2(self.n)
-
 
 def snap_angle(alpha: float, n: int) -> float:
     """Nearest multiple of pi/n, wrapped to [0, pi)."""

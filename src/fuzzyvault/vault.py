@@ -317,8 +317,9 @@ def lock_two_fingers(
     params: VaultParams,
     seed: int,
 ) -> tuple[tuple[Vault, GroundTruth], tuple[Vault, GroundTruth]]:
-    """Lock one xor share per finger; recovering the secret needs both vaults,
-    so the analytic attack cost multiplies (log2 doubles at equal params)."""
+    """Lock one xor share per finger.  Each vault falls to its own D-hit test,
+    so the attack costs add (+1 bit at equal params); they would multiply
+    only if no share could be recognised on its own."""
     share1, share2 = split_secret(secret, substream(seed, "split"))
     locked1 = lock(template1, share1, params, seed * 2 + 1)
     locked2 = lock(template2, share2, params, seed * 2 + 2)

@@ -17,6 +17,7 @@ from fuzzyvault import (
     gen_template,
     lock,
     lock_polynomial,
+    lock_two_fingers,
 )
 
 F = PrimeField()
@@ -48,6 +49,20 @@ class TestBruteForce:
             for s in range(400)
         ]
         assert abs(statistics.mean(trials) - expected) <= 0.12 * expected
+
+    def test_two_finger_shares_fall_to_separate_attacks(self):
+        # each share's vault is recognised by its own D-hit test, so the
+        # attacks add up instead of multiplying
+        params = VaultParams(k=6, t=15, r=60)
+        secret = Secret.random(64, random.Random(8))
+        locked_pair = lock_two_fingers(gen_template(15, seed=31), gen_template(15, seed=32),
+                                       secret, params, seed=55)
+        shares = []
+        for (vault, truth), seed in zip(locked_pair, (1, 2)):
+            report = brute_force_attack(vault, D=9, t_assumed=15, bits=64, seed=seed)
+            assert report.success and report.coeffs == truth.coeffs
+            shares.append(report.secret)
+        assert shares[0].xor(shares[1]) == secret
 
     def test_budget_exhaustion_returns_failure_report(self):
         _, _, vault, _ = locked()

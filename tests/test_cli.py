@@ -302,7 +302,7 @@ def _cap_address_space():
 
 
 class TestQuizSweepBound:
-    def test_oversized_sweep_is_a_parameter_error(self, workdir):
+    def _attack_oversized_sweep(self, workdir, *extra):
         # 16**8 transform assignments per subset cannot be materialised
         vault = workdir / "quiz_k8_n16.json"
         r = run([
@@ -310,11 +310,17 @@ class TestQuizSweepBound:
             "--template", str(workdir / "tpl15.json"), "--seed", "3", "-o", str(vault),
         ])
         assert r.returncode == 0
-        r = run(["attack", "--vault", str(vault), "--D", "11", "--budget", "1", "--seed", "1"],
-                preexec_fn=_cap_address_space, timeout=300)
+        r = run(["attack", "--vault", str(vault), "--D", "11", "--budget", "1", "--seed", "1",
+                 *extra], preexec_fn=_cap_address_space, timeout=300)
         assert r.returncode == 2
         assert r.stderr.startswith("error:") and len(r.stderr.splitlines()) == 1
         assert r.stdout == ""
+
+    def test_oversized_sweep_is_a_parameter_error(self, workdir):
+        self._attack_oversized_sweep(workdir)
+
+    def test_oversized_sweep_with_workers_is_a_parameter_error(self, workdir):
+        self._attack_oversized_sweep(workdir, "--workers", "2")
 
 
 class TestReplays:

@@ -22,12 +22,54 @@ from fuzzyvault import (
     unlock,
 )
 from fuzzyvault import consensus
-from fuzzyvault.consensus import SMALL_INVERSE, _inverse, interpolate, search
+from fuzzyvault.consensus import SMALL_INVERSE, _inverse, interpolate, matmul_mod, search
 from fuzzyvault.vault import Vault, VaultRecord, coord_shift
 
-# 2**31 - 1 is the largest accepted modulus, where every product of two
-# reduced values comes closest to the int64 limit.
-MODULI = [2, 3, 17, 65537, 2**31 - 1]
+# matmul_mod splits its left operand into limbs of the widest width w with
+# (k+1) * 2**w * q < 2**53.  At k = 24, 2**24 - 3 is the largest prime whose
+# values fit one limb (w = 24) and 2**24 + 43 the smallest that needs two;
+# 2**31 - 1 is the largest accepted modulus.
+MODULI = [2, 3, 17, 65537, 2**24 - 3, 2**24 + 43, 2**31 - 1]
+
+
+@st.composite
+def matmul_cases(draw):
+    """(q, a (rows, k), b (k, cols)), entries in [0, q)."""
+    q = draw(st.sampled_from(MODULI))
+    rows, k, cols = draw(st.integers(1, 3)), draw(st.integers(1, 24)), draw(st.integers(1, 4))
+    element = st.integers(0, q - 1)
+    a = draw(st.lists(element, min_size=rows * k, max_size=rows * k))
+    b = draw(st.lists(element, min_size=k * cols, max_size=k * cols))
+    return q, np.array(a, dtype=np.int64).reshape(rows, k), np.array(b).reshape(k, cols)
+
+
+@given(matmul_cases())
+def test_matmul_mod_matches_big_integer_sums(case):
+    q, a, b = case
+    got = matmul_mod(a, b.astype(np.float64), q)
+    want = [[sum(x * y for x, y in zip(row, col)) % q for col in b.T.tolist()]
+            for row in a.tolist()]
+    assert got.dtype == np.float64 and got.tolist() == want
+
+
+def test_matmul_mod_worst_case_at_the_largest_modulus():
+    # every product and every partial sum at its largest, over two limbs
+    q, k = 2**31 - 1, 24
+    a = np.full((2, k), q - 1, dtype=np.int64)
+    b = np.full((k, 3), float(q - 1))
+    assert matmul_mod(a, b, q).tolist() == [[k * (q - 1) ** 2 % q] * 3] * 2
+
+
+@pytest.mark.parametrize("q, v", [
+    (103, 103),  # v * (1/q) rounds below 1: the float quotient is one too low
+    (16777099, 6755304415238471),  # it rounds up to v // q + 1: one too high
+])
+def test_matmul_mod_corrects_an_off_by_one_float_quotient(q, v):
+    full, rest = divmod(v, (q - 1) ** 2)
+    a = [q - 1] * full + [q - 1, 1]
+    b = [q - 1] * full + list(divmod(rest, q - 1))
+    got = matmul_mod(np.array([a], dtype=np.int64), np.array(b, dtype=np.float64)[:, None], q)
+    assert got.tolist() == [[v % q]]
 
 
 @st.composite
@@ -113,6 +155,7 @@ def _oracle_search(index, rng, budget, D, sweep):
     """One candidate at a time through PrimeField.interpolate and the Python
     scan, in the order the search engine must reproduce."""
     q, k, r = index.q, index.k, index.r
+    field = PrimeField(q)
     assignments = list(itertools.product(index.offsets, repeat=k)) if sweep else [(0,) * k]
     trials = interps = 0
     for _ in range(budget):
@@ -120,7 +163,7 @@ def _oracle_search(index, rng, budget, D, sweep):
         trials += 1
         for offs in assignments:
             pts = [(index.xs[i], (index.ys[i] + o) % q) for i, o in zip(sub, offs)]
-            coeffs = index.field.interpolate(pts)
+            coeffs = field.interpolate(pts)
             interps += 1
             if index.count_hits_python(coeffs) >= D:
                 return coeffs, trials, interps, interps * (r - k)
@@ -195,6 +238,15 @@ def test_pool_keeps_a_bounded_window_of_chunks(counting_pool, side):
     assert result.success and result.secret == secret
     assert counting_pool.submits <= 2 * 2
     assert time.perf_counter() - start < 60
+
+
+def test_oversized_quiz_sweep_is_refused_before_the_pool_starts(counting_pool):
+    tpl = gen_template(15, seed=1)
+    vault, _ = lock(tpl, Secret.random(64, random.Random(1)),
+                    VaultParams(k=8, t=15, r=60, quiz_n=16), seed=3)
+    with pytest.raises(ValueError, match="quiz sweep"):
+        brute_force_attack(vault, D=11, budget=10, seed=1, workers=2)
+    assert counting_pool.submits == 0
 
 
 def test_pool_spends_the_exact_budget_when_nothing_succeeds(counting_pool):

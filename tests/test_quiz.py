@@ -22,7 +22,6 @@ class TestParams:
         p = QuizParams(8, 65537)
         assert p.step == 8192
         assert p.n * p.step <= p.q
-        assert abs(p.bits_per_point - 3.0) < 1e-12
 
     def test_validation(self):
         with pytest.raises(ValueError):
