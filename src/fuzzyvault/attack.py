@@ -23,7 +23,7 @@ import numpy as np
 from .coding import Secret, coeffs_pass_crc, try_decode
 from .consensus import SWEEP_ELEMENTS, VaultIndex, search, search_pool, stop_rule
 from .geometry import PointGrid
-from .seeds import substream
+from .seeds import substream  # noqa: F401  perfbench/tracer.py patches this name
 from .vault import Vault
 
 EXHAUSTIVE_LIMIT = 10**7
@@ -40,7 +40,6 @@ class AttackReport:
     point_checks: int
     elapsed_s: float
     seed: int
-    workers: int
 
 
 def default_budget(r: int, t: int, k: int) -> int:
@@ -88,18 +87,14 @@ def brute_force_attack(
     ``budget`` defaults to 20x the expected trial count, which requires the
     attacker to assume a genuine count ``t_assumed``.  ``exhaustive``
     iterates k-subsets in lexicographic order instead of sampling (tiny
-    instances only).  The report is bit-reproducible for a fixed seed; more
-    than one worker splits the budget into seeded chunks, which draw other
-    subsets than one worker does but give the same report for any count.
+    instances only).  The report is bit-reproducible for a fixed seed and
+    the same for any worker count (``consensus.search_pool``).
     """
     rule = stop_rule(vault, mode, D, bits, coeffs_pass_crc)
-    if budget is None:
-        if exhaustive:
-            budget = math.comb(vault.r, vault.k)
-        elif t_assumed is not None:
-            budget = default_budget(vault.r, t_assumed, vault.k)
-        else:
+    if budget is None and not exhaustive:
+        if t_assumed is None:
             raise ValueError("provide a budget or an assumed genuine count t_assumed")
+        budget = default_budget(vault.r, t_assumed, vault.k)
 
     start = time.perf_counter()
     index = VaultIndex(vault)
@@ -108,25 +103,19 @@ def brute_force_attack(
     if rule["sweep"] and n**k * max(vault.r, k * k) > SWEEP_ELEMENTS:
         raise ValueError(f"quiz sweep of {n}**{k} assignments exceeds the memory bound")
     if exhaustive:
-        subsets = itertools.combinations(range(vault.r), vault.k)
-        coeffs, trials, interps, checks = search(index, None, None, budget, subsets=subsets,
-                                                 **rule)
-    elif workers <= 1:
-        coeffs, trials, interps, checks = search(index, None, substream(seed, "attack"),
-                                                 budget, **rule)
+        subsets = itertools.islice(itertools.combinations(range(vault.r), vault.k), budget)
+        coeffs, trials, interps, checks = search(index, None, subsets, **rule)
     else:
         coeffs, trials, interps, checks = search_pool(
-            vault, None, budget, PARALLEL_CHUNK_TRIALS, f"{seed}/attack-chunk", workers, **rule
+            index, None, budget, PARALLEL_CHUNK_TRIALS, f"{seed}/attack-chunk", workers, **rule
         )
     if coeffs is not None and rule["sweep"] and mode == "threshold":
         coeffs, extra = _canonical_quiz_candidate(index, coeffs)
         checks += extra
 
-    elapsed = time.perf_counter() - start
-    if coeffs is None:
-        return AttackReport(False, None, None, trials, interps, checks, elapsed, seed, workers)
-    secret = try_decode(coeffs, bits, mode == "crc")
-    return AttackReport(True, coeffs, secret, trials, interps, checks, elapsed, seed, workers)
+    secret = None if coeffs is None else try_decode(coeffs, bits, mode == "crc")
+    return AttackReport(coeffs is not None, coeffs, secret, trials, interps, checks,
+                        time.perf_counter() - start, seed)
 
 
 def count_matching_polynomials(vault: Vault, t_hits: int, k: int | None = None) -> int:
@@ -190,5 +179,4 @@ def report_to_dict(report: AttackReport) -> dict:
     out["interpolations"] = report.interpolations
     out["point_checks"] = report.point_checks
     out["seed"] = report.seed
-    out["workers"] = report.workers
     return out

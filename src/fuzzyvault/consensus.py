@@ -6,9 +6,9 @@ check its CRC coefficient.  One search function and one parallel runner
 serve both.  A batch of subsets is interpolated at once in numpy (Lagrange
 form).  The Lagrange combine and the scan against the powers X**j mod q are
 each one float64 matrix product, exact below 2**53 with as many limbs as
-(q, k) need, one for every preset (``matmul_mod``).  Subsets are drawn with
-the same generator calls as a one-candidate loop and the first accepted row
-in batch order wins, so results do not depend on batch size.
+(q, k) need, one for every preset (``matmul_mod``).  Subsets come from one
+stream of seeded chunks and the first accepted row in stream order wins, so
+results depend neither on the batch size nor on the worker count.
 
 For quiz vaults the graph test is "any transform index matches": a record
 (X, Y) counts as a hit when (g(X) - Y) mod q is one of the n transform
@@ -199,16 +199,14 @@ def stop_rule(vault: Vault, mode: str, D: int | None, bits: int | None, crc) -> 
     return dict(D=D, crc=None)
 
 
-def search(index: VaultIndex, points, rng: random.Random | None, budget: int,
-           D: int | None = None, crc=None, subsets=None, sweep: bool = False):
-    """Draw k-subsets of ``points`` until one yields an accepted candidate or
-    ``budget`` subsets are spent.  Returns (coeffs or None, trials,
-    interpolations, point checks).
+def search(index: VaultIndex, points, subsets, D: int | None = None, crc=None,
+           sweep: bool = False):
+    """Try the index tuples ``subsets`` of ``points`` in order until one
+    yields an accepted candidate or they run out.  Returns (coeffs or None,
+    trials, interpolations, point checks).
 
     ``points``: (xs, ys) int64 arrays, xs distinct and reduced mod q, or
-    None for the vault's own records.  ``subsets``: optional iterable of
-    index tuples (exhaustive mode); otherwise each trial draws
-    ``rng.sample(range(len(xs)), k)``.  The rule is the threshold D on vault
+    None for the vault's own records.  The rule is the threshold D on vault
     hits, or, when ``crc`` is given, the predicate ``crc(coeffs)``.
     ``sweep``: try every subset under all n**k quiz transform assignments,
     in itertools.product order; the caller bounds n**k by SWEEP_ELEMENTS.
@@ -221,14 +219,12 @@ def search(index: VaultIndex, points, rng: random.Random | None, budget: int,
         assignments = np.zeros((1, k), dtype=np.int64)
     per_trial = len(assignments)
     cap = max(1, BATCH_ELEMENTS // (per_trial * max(index.r, k * k)))
-    if subsets is None:
-        idx_range = range(len(xs))
-        subsets = (rng.sample(idx_range, k) for _ in range(budget))
+    subsets = iter(subsets)
     trials = interps = 0
     batch = 1
     found = None
-    while found is None and trials < budget:
-        chosen = list(itertools.islice(subsets, min(batch, budget - trials)))
+    while found is None:
+        chosen = list(itertools.islice(subsets, batch))
         if not chosen:
             break
         sub = np.array(chosen, dtype=np.intp)
@@ -248,40 +244,51 @@ def search(index: VaultIndex, points, rng: random.Random | None, budget: int,
     return found, trials, interps, 0 if crc is not None else interps * (index.r - k)
 
 
+def _chunk_subsets(n: int, k: int, label: str, chunk: int, budget: int, chunks: range):
+    """The k-subsets of range(n) drawn by the chunks numbered ``chunks``:
+    min(chunk, budget - i * chunk) from ``random.Random(f"{label}{i}")``."""
+    population = range(n)
+    for i in chunks:
+        rng = random.Random(f"{label}{i}")
+        for _ in range(min(chunk, budget - i * chunk)):
+            yield rng.sample(population, k)
+
+
 # Worker-side state for the process pool, installed once per process.
 _WORKER: dict = {}
 
 
-def _init_worker(vault: Vault, points, D, crc, sweep: bool) -> None:
-    _WORKER["index"] = VaultIndex(vault)
-    _WORKER["args"] = (points, D, crc, sweep)
+def _init_worker(index: VaultIndex, points, stream: tuple, rule: dict) -> None:
+    _WORKER.update(index=index, points=points, stream=stream, rule=rule)
 
 
-def _run_chunk(label: str, n: int):
-    points, D, crc, sweep = _WORKER["args"]
-    return search(_WORKER["index"], points, random.Random(label), n, D=D, crc=crc, sweep=sweep)
+def _run_chunk(i: int):
+    subsets = _chunk_subsets(*_WORKER["stream"], range(i, i + 1))
+    return search(_WORKER["index"], _WORKER["points"], subsets, **_WORKER["rule"])
 
 
-def search_pool(vault: Vault, points, budget: int, chunk: int, label: str, workers: int,
-                D: int | None = None, crc=None, sweep: bool = False):
-    """``search`` split into seeded chunks of ``chunk`` subsets, chunk i
-    drawing from ``random.Random(f"{label}{i}")``, run on ``workers``
-    processes.  At most 2 * workers chunks are in flight; the next is
-    submitted as one completes, and none once a chunk succeeds.  The lowest
-    succeeding chunk wins and the counters are summed over the chunks up to
-    it, so the result does not depend on the worker count or on timing.
-    ``points`` None means the vault's own records."""
-    n_chunks = math.ceil(budget / chunk)
+def search_pool(index: VaultIndex, points, budget: int, chunk: int, label: str, workers: int,
+                **rule):
+    """``search`` (keywords ``rule``) over the ``_chunk_subsets`` stream of
+    ``budget`` subsets: one worker chains the chunks in one search, in
+    process; more run them on a pool, at most 2 * workers in flight and
+    none submitted once a chunk succeeds.  The lowest succeeding chunk holds
+    the first accepted subset of the stream; counters are summed up to it,
+    so the result does not depend on the worker count or on timing.  Fewer
+    than k points give an empty stream."""
+    stream = (index.r if points is None else len(points[0]), index.k, label, chunk, budget)
+    n_chunks = math.ceil(budget / chunk) if stream[0] >= index.k else 0
+    if workers <= 1:
+        return search(index, points, _chunk_subsets(*stream, range(n_chunks)), **rule)
     submitted = 0
     results: dict = {}
     pending: dict = {}
     winner = None
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                             initargs=(vault, points, D, crc, sweep)) as pool:
+                             initargs=(index, points, stream, rule)) as pool:
         while True:
             while winner is None and submitted < n_chunks and len(pending) < 2 * workers:
-                size = min(chunk, budget - submitted * chunk)
-                pending[pool.submit(_run_chunk, f"{label}{submitted}", size)] = submitted
+                pending[pool.submit(_run_chunk, submitted)] = submitted
                 submitted += 1
             if not pending or (winner is not None and min(pending.values()) > winner):
                 break
@@ -291,8 +298,7 @@ def search_pool(vault: Vault, points, budget: int, chunk: int, label: str, worke
                 results[i] = fut.result()
                 if results[i][0] is not None and (winner is None or i < winner):
                     winner = i
-        for fut in pending:
-            fut.cancel()
+        pool.shutdown(cancel_futures=True)
     last = n_chunks - 1 if winner is None else winner
     totals = [sum(results[i][j] for i in range(last + 1)) for j in (1, 2, 3)]
     return (None if winner is None else results[winner][0], *totals)

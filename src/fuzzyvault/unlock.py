@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coding import Secret, coeffs_pass_crc, try_decode
-from .consensus import VaultIndex, search, search_pool, stop_rule
+from .consensus import VaultIndex, search_pool, stop_rule
 from .quiz import apply_transform, recover_index
-from .seeds import substream
 from .simulate import Minutia, Template
 from .vault import Vault
 
@@ -46,8 +45,6 @@ class UnlockResult:
     interpolations: int
     elapsed_s: float
     seed: int | None
-    mode: str
-    workers: int = 1
 
 
 def build_unlocking_set(vault: Vault, template: Template, tau: float) -> UnlockingSet:
@@ -86,7 +83,7 @@ def _candidate_points(vault: Vault, index: VaultIndex, uset: UnlockingSet) -> np
         if qp is not None:
             y = apply_transform(y, recover_index(m.theta, rec.beta, qp.n), qp)
         pts.append((index.xs[ri], y))
-    return np.array(pts, dtype=np.int64).T
+    return np.array(pts, dtype=np.int64).reshape(-1, 2).T
 
 
 def consensus_decode(
@@ -101,7 +98,8 @@ def consensus_decode(
     workers: int = 1,
 ) -> UnlockResult:
     """Iterate seeded-random k-subsets of the unlocking set until a candidate
-    is accepted or the budget runs out.
+    is accepted or the budget runs out; the result is the same for any
+    worker count (``consensus.search_pool``).
 
     Threshold mode accepts when >= D vault records (vault-wide, not just the
     unlocking set) lie on the candidate's graph; default D = k+3.  CRC mode
@@ -116,26 +114,14 @@ def consensus_decode(
 
     start = time.perf_counter()
     index = VaultIndex(vault)
-    if len(uset) < vault.k:
-        return UnlockResult(
-            False, None, None, 0, 0, time.perf_counter() - start, seed, mode, workers
-        )
     points = _candidate_points(vault, index, uset)
+    coeffs, candidates, interps, _ = search_pool(
+        index, points, budget, PARALLEL_CHUNK_CANDIDATES, f"{seed}/unlock-chunk", workers, **rule
+    )
 
-    if workers <= 1:
-        coeffs, candidates, interps, _ = search(index, points, substream(seed, "unlock"),
-                                                budget, **rule)
-    else:
-        coeffs, candidates, interps, _ = search_pool(
-            vault, points, budget, PARALLEL_CHUNK_CANDIDATES, f"{seed}/unlock-chunk", workers,
-            **rule
-        )
-
-    elapsed = time.perf_counter() - start
-    if coeffs is None:
-        return UnlockResult(False, None, None, candidates, interps, elapsed, seed, mode, workers)
-    secret = try_decode(coeffs, bits, crc_encoded)
-    return UnlockResult(True, secret, coeffs, candidates, interps, elapsed, seed, mode, workers)
+    secret = None if coeffs is None else try_decode(coeffs, bits, crc_encoded)
+    return UnlockResult(coeffs is not None, secret, coeffs, candidates, interps,
+                        time.perf_counter() - start, seed)
 
 
 def unlock(

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, replace
 
 from .coding import Secret, encode_secret
-from .field import DEFAULT_Q, PrimeField
+from .field import DEFAULT_Q, PrimeField, is_prime
 from .geometry import HexLattice, PlacementError, PointGrid
 from .quiz import QuizParams, encode_point, random_grid_beta
 from .seeds import as_rng, substream
@@ -352,18 +352,37 @@ def vault_to_json(vault: Vault) -> str:
     return head + "\n" + ",\n".join(lines) + "\n]}\n"
 
 
+class VaultFormatError(ValueError):
+    """A vault file whose JSON types or values do not describe a vault."""
+
+
 def vault_from_json(text: str) -> Vault:
+    """Parse a vault file.  Raises VaultFormatError unless the JSON types are
+    right (a bool is not an int), q is a prime below 2**31, the grid kind is
+    known, 1 <= k <= r, 0 <= Y < q and points carry a beta iff quiz_n > 0."""
     obj = json.loads(text)
-    quiz_n = obj["quiz_n"]
+    head = ("q", "k", "d", "grid", "quiz_n", "points")
+    q, k, d, grid, quiz_n, points = map(obj.get, head) if type(obj) is dict else [None] * 6
+    if not (type(q) is type(k) is type(quiz_n) is int and type(d) in (int, float)
+            and type(points) is list):
+        raise VaultFormatError("a vault file is one JSON object with int q, k and quiz_n, "
+                               "a number d and a list of points")
+    if not (q < 2**31 and is_prime(q)):
+        raise VaultFormatError(f"vault modulus q={q} is not a prime below 2**31")
+    if grid not in (GRID_RANDOM, GRID_HEX):
+        raise VaultFormatError(f"unknown grid kind: {grid!r:.40}")
+    if not 1 <= k <= len(points):
+        raise VaultFormatError(f"vault k={k} is outside 1..r={len(points)}")
+    beta_kinds = (int, float) if quiz_n else (type(None),)
     records = []
-    for p in obj["points"]:
-        beta = p.get("beta")
-        if quiz_n and beta is None:
-            raise ValueError("quiz vault record missing beta")
-        if not quiz_n and beta is not None:
-            raise ValueError("non-quiz vault record carries beta")
-        records.append(VaultRecord(p["x"], p["y"], p["Y"], beta))
-    return Vault(obj["q"], obj["k"], obj["d"], obj["grid"], quiz_n, tuple(records))
+    for p in points:
+        get = p.get if type(p) is dict else {}.get
+        x, y, Y, beta = get("x"), get("y"), get("Y"), get("beta")
+        if not (type(x) is type(y) is type(Y) is int and 0 <= Y < q and type(beta) in beta_kinds):
+            raise VaultFormatError(f"vault point {p!r:.60} needs int x, y and Y in [0, q={q}) "
+                                   "and a numeric beta if and only if quiz_n > 0")
+        records.append(VaultRecord(x, y, Y, beta))
+    return Vault(q, k, d, grid, quiz_n, tuple(records))
 
 
 def truth_to_json(truth: GroundTruth) -> str:

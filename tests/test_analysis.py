@@ -6,6 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fuzzyvault import (
+    Secret,
+    VaultParams,
+    brute_force_attack,
+    gen_template,
+    lock_two_fingers,
+)
 from fuzzyvault.analysis import (
     CSV_HEADER,
     attack_work_log2,
@@ -194,9 +201,30 @@ class TestEstimateRows:
         scaled = estimate(313 * 3, 38 * 3, 14)
         assert abs(base.log2_trials_approx - scaled.log2_trials_approx) < 1e-9
 
-    def test_pair_of_vaults_doubles_log_cost(self):
-        single = attack_work_log2(313, 38, 14)
-        assert abs((single + single) - 2 * single) < 1e-12  # product = squared factor
+    def test_pair_of_vaults_adds_one_bit(self):
+        # each xor share's vault falls to its own D-hit test, so breaking both
+        # takes 2 * C(30,3)/C(8,3) = 145 trials on average: one bit above the
+        # row's exact figure, not twice its log2
+        row = estimate(30, 8, 3)
+        expected = 2 * 2**row.log2_trials_exact
+        assert abs(expected - 2 * math.comb(30, 3) / math.comb(8, 3)) < 1e-9
+        # 10% of the mean is 4 standard errors of the sum of two geometric laws
+        p = math.comb(8, 3) / math.comb(30, 3)
+        runs = math.ceil((4 * math.sqrt(2 * (1 - p)) / p / (0.10 * expected)) ** 2)
+        params = VaultParams(k=3, t=8, r=30)
+        total = 0
+        for i in range(runs):
+            secret = Secret.random(40, random.Random(i))
+            locked = lock_two_fingers(gen_template(8, seed=2 * i), gen_template(8, seed=2 * i + 1),
+                                      secret, params, seed=i)
+            shares = []
+            for j, (vault, _) in enumerate(locked):
+                report = brute_force_attack(vault, D=6, t_assumed=8, bits=40, seed=2 * i + j)
+                assert report.success
+                total += report.trials
+                shares.append(report.secret)
+            assert shares[0].xor(shares[1]) == secret
+        assert abs(total / runs - expected) <= 0.10 * expected
 
     def test_empirical_column_agreement(self):
         rows = [dict(r=20, t=8, k=3, D=6), dict(r=30, t=8, k=3, D=6)]

@@ -97,8 +97,10 @@ class TestBruteForce:
     def test_parallel_recovers_identical_secret(self):
         _, secret, vault, truth = locked()
         report = brute_force_attack(vault, D=9, t_assumed=15, bits=64, seed=11, workers=2)
-        assert report.success and report.workers == 2
+        assert report.success
         assert report.coeffs == truth.coeffs and report.secret == secret
+        single = brute_force_attack(vault, D=9, t_assumed=15, bits=64, seed=11)
+        assert (report.trials, report.interpolations) == (single.trials, single.interpolations)
 
     def test_exhaustive_mode_finds_polynomial(self):
         tpl = gen_template(6, seed=3)

@@ -122,7 +122,7 @@ class TestUnlockAttack:
         assert obj["success"] is True and obj["secret_hex"] == "0011223344556677"
         assert list(obj.keys()) == [
             "success", "secret_hex", "trials", "interpolations",
-            "point_checks", "seed", "workers",
+            "point_checks", "seed",
         ]
         assert "elapsed_ms:" in r.stderr
 
@@ -278,22 +278,98 @@ class TestSimulateSpuriousCorrelate:
         assert obj["count"] == len(obj["points"])
 
 
+def _probe(workdir, genuine: int, chaff: int):
+    """A template on the coordinates of the first ``genuine`` genuine and the
+    first ``chaff`` chaff records of the small-attack vault."""
+    records = json.loads((workdir / "vault.json").read_text())["points"]
+    truth = set(json.loads((workdir / "truth.json").read_text())["genuine_indices"])
+    picked = ([p for i, p in enumerate(records) if i in truth][:genuine]
+              + [p for i, p in enumerate(records) if i not in truth][:chaff])
+    path = workdir / f"probe_{genuine}_{chaff}.json"
+    path.write_text(json.dumps({"w": 256, "h": 256, "minutiae": [
+        {"x": p["x"], "y": p["y"], "theta": 0.1} for p in picked]}))
+    return path
+
+
 class TestWorkers:
+    def _reports(self, workdir, argv, counts=(1, 2, 3), code=0):
+        """The report file of ``argv`` for each worker count; all must match
+        byte for byte."""
+        files = []
+        for workers in counts:
+            out = workdir / f"workers_{workers}.json"
+            r = run([*argv, "--workers", str(workers), "-o", str(out)])
+            assert r.returncode == code, r.stderr
+            files.append(out.read_bytes())
+        assert files.count(files[0]) == len(files)
+        return json.loads(files[0])
+
     def test_to_success_report_is_independent_of_worker_count(self, workdir):
-        reports = []
-        for workers in (2, 3):
-            out = workdir / f"attack_workers_{workers}.json"
-            r = run([
-                "attack", "--vault", str(workdir / "vault.json"),
-                "--preset", "small-attack", "--bits", "64", "--seed", "11",
-                "--workers", str(workers), "-o", str(out),
-            ])
-            assert r.returncode == 0
-            obj = json.loads(out.read_text())
-            assert obj.pop("workers") == workers
-            assert obj["secret_hex"] == "0011223344556677"
-            reports.append(obj)
-        assert reports[0] == reports[1]
+        # success in chunk 24 of 512 trials
+        obj = self._reports(workdir, [
+            "attack", "--vault", str(workdir / "vault.json"),
+            "--preset", "small-attack", "--bits", "64", "--seed", "11",
+        ])
+        assert obj["secret_hex"] == "0011223344556677" and obj["trials"] == 12748
+
+    def test_unlock_report_is_independent_of_worker_count(self, workdir):
+        # 8 genuine among 20 matched records: C(20,6)/C(8,6) = 1384 candidates
+        # expected, so the search runs past its first chunk of 64
+        obj = self._reports(workdir, [
+            "unlock", "--vault", str(workdir / "vault.json"),
+            "--template", str(_probe(workdir, 8, 12)), "--D", "9", "--bits", "64",
+            "--seed", "2",
+        ])
+        assert obj["secret_hex"] == "0011223344556677" and obj["candidates"] > 64
+
+    @pytest.mark.parametrize("command", ["attack", "unlock"])
+    def test_budget_exhausted_report_is_independent_of_worker_count(self, workdir, command):
+        # D = r accepts no candidate; a budget of 1300 cuts the last chunk short
+        argv = [command, "--vault", str(workdir / "vault.json"), "--D", "60",
+                "--budget", "1300", "--seed", "4"]
+        if command == "unlock":
+            argv += ["--template", str(_probe(workdir, 15, 45))]
+        obj = self._reports(workdir, argv, code=3)
+        assert obj["success"] is False
+        assert obj["trials" if command == "attack" else "candidates"] == 1300
+
+
+def _first_point(field, value):
+    def mutate(vault):
+        vault["points"][0][field] = value
+        return vault
+    return mutate
+
+
+def _set(field, value):
+    def mutate(vault):
+        vault[field] = value
+        return vault
+    return mutate
+
+
+class TestVaultFormat:
+    @pytest.mark.parametrize("mutate, message", [
+        (_set("k", 0), "k=0 is outside"),
+        (_set("k", 61), "k=61 is outside"),
+        (_set("k", True), "int q, k and quiz_n"),
+        (_set("q", 65536), "not a prime"),
+        (_set("grid", "bogus"), "unknown grid kind"),
+        (_first_point("Y", 10**20), "Y in [0, q=65537)"),
+        (_first_point("Y", -1), "Y in [0, q=65537)"),
+        (_first_point("x", "12"), "int x, y and Y"),
+        (lambda vault: [vault], "one JSON object with int q"),
+    ], ids=["k-zero", "k-above-r", "k-bool", "q-composite", "grid-unknown", "Y-huge",
+            "Y-negative", "x-string", "file-is-a-list"])
+    def test_malformed_vault_is_a_parameter_error(self, workdir, mutate, message):
+        vault = json.loads((workdir / "vault.json").read_text())
+        path = workdir / "malformed.json"
+        path.write_text(json.dumps(mutate(vault)))
+        r = run(["attack", "--vault", str(path), "--preset", "small-attack", "--bits", "64",
+                 "--budget", "10", "--seed", "1"])
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr.startswith("error:") and len(r.stderr.splitlines()) == 1
+        assert message in r.stderr
 
 
 def _cap_address_space():

@@ -2,6 +2,7 @@
 parallel runner."""
 
 import itertools
+import math
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -151,15 +152,14 @@ def test_count_hits_of_the_true_polynomial_at_default_q():
         assert index.count_hits(truth.coeffs) == index.count_hits_python(truth.coeffs) == 8
 
 
-def _oracle_search(index, rng, budget, D, sweep):
+def _oracle_search(index, subsets, D, sweep):
     """One candidate at a time through PrimeField.interpolate and the Python
     scan, in the order the search engine must reproduce."""
     q, k, r = index.q, index.k, index.r
     field = PrimeField(q)
     assignments = list(itertools.product(index.offsets, repeat=k)) if sweep else [(0,) * k]
     trials = interps = 0
-    for _ in range(budget):
-        sub = rng.sample(range(r), k)
+    for sub in subsets:
         trials += 1
         for offs in assignments:
             pts = [(index.xs[i], (index.ys[i] + o) % q) for i, o in zip(sub, offs)]
@@ -170,15 +170,38 @@ def _oracle_search(index, rng, budget, D, sweep):
     return None, trials, interps, interps * (r - k)
 
 
-@pytest.mark.parametrize("quiz_n, budget", [(0, 10_000), (0, 7), (4, 10_000), (4, 3)])
-def test_search_matches_one_candidate_oracle(quiz_n, budget):
+def _quiz_index(quiz_n):
     tpl = gen_template(8, seed=4)
     vault, _ = lock(tpl, Secret.random(40, random.Random(4)),
                     VaultParams(k=3, t=8, r=30, quiz_n=quiz_n), seed=4)
-    index = VaultIndex(vault)
+    return VaultIndex(vault)
+
+
+@pytest.mark.parametrize("quiz_n, budget", [(0, 10_000), (0, 7), (4, 10_000), (4, 3)])
+def test_search_matches_one_candidate_oracle(quiz_n, budget):
+    index = _quiz_index(quiz_n)
     for seed in range(4):
-        got = search(index, None, random.Random(seed), budget, D=6, sweep=bool(quiz_n))
-        want = _oracle_search(index, random.Random(seed), budget, 6, bool(quiz_n))
+        rng = random.Random(seed)
+        subsets = [rng.sample(range(index.r), index.k) for _ in range(budget)]
+        got = search(index, None, subsets, D=6, sweep=bool(quiz_n))
+        assert got == _oracle_search(index, subsets, 6, bool(quiz_n))
+
+
+@pytest.mark.parametrize("quiz_n, budget", [(0, 10_000), (0, 40), (4, 10_000), (4, 10)])
+def test_every_worker_count_searches_one_chunk_stream(quiz_n, budget):
+    # chunk i of 7 subsets draws from random.Random(f"{label}{i}"); the last
+    # chunk of a budget of 40 or 10 is cut short
+    index = _quiz_index(quiz_n)
+    label, chunk = "1/attack-chunk", 7
+    stream = []
+    for i in range(math.ceil(budget / chunk)):
+        rng = random.Random(f"{label}{i}")
+        size = min(chunk, budget - i * chunk)
+        stream += [rng.sample(range(index.r), index.k) for _ in range(size)]
+    want = _oracle_search(index, stream, 6, bool(quiz_n))
+    for workers in (1, 2, 3):
+        got = consensus.search_pool(index, None, budget, chunk, label, workers, D=6, crc=None,
+                                    sweep=bool(quiz_n))
         assert got == want
 
 
@@ -257,3 +280,6 @@ def test_pool_spends_the_exact_budget_when_nothing_succeeds(counting_pool):
     assert not report.success
     assert report.trials == report.interpolations == 1300
     assert counting_pool.submits == 3  # chunks of 512, 512 and 276
+    single = brute_force_attack(vault, D=vault.r, budget=1300, seed=3)
+    assert single.trials == single.interpolations == 1300
+    assert counting_pool.submits == 3  # one worker runs its chunks in process
