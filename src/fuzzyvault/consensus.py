@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -270,35 +272,27 @@ def _run_chunk(i: int):
 def search_pool(index: VaultIndex, points, budget: int, chunk: int, label: str, workers: int,
                 **rule):
     """``search`` (keywords ``rule``) over the ``_chunk_subsets`` stream of
-    ``budget`` subsets: one worker chains the chunks in one search, in
-    process; more run them on a pool, at most 2 * workers in flight and
-    none submitted once a chunk succeeds.  The lowest succeeding chunk holds
-    the first accepted subset of the stream; counters are summed up to it,
-    so the result does not depend on the worker count or on timing.  Fewer
-    than k points give an empty stream."""
+    ``budget`` subsets.  The pool gets min(workers, chunks, CPUs) processes;
+    at one or fewer the chunks run chained in one search, in process.  A
+    pool keeps at most 2 * workers chunks in flight and reads their results
+    in chunk order, summing counters, until the first that succeeds: that
+    chunk holds the first accepted subset of the stream, so the result does
+    not depend on the worker count or on timing.  Fewer than k points give
+    an empty stream."""
     stream = (index.r if points is None else len(points[0]), index.k, label, chunk, budget)
     n_chunks = math.ceil(budget / chunk) if stream[0] >= index.k else 0
+    workers = min(workers, n_chunks, os.cpu_count() or 1)
     if workers <= 1:
         return search(index, points, _chunk_subsets(*stream, range(n_chunks)), **rule)
-    submitted = 0
-    results: dict = {}
-    pending: dict = {}
-    winner = None
+    found, totals = None, [0, 0, 0]
+    window, submitted = deque(), 0
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(index, points, stream, rule)) as pool:
-        while True:
-            while winner is None and submitted < n_chunks and len(pending) < 2 * workers:
-                pending[pool.submit(_run_chunk, submitted)] = submitted
+        while found is None and (window or submitted < n_chunks):
+            while submitted < n_chunks and len(window) < 2 * workers:
+                window.append(pool.submit(_run_chunk, submitted))
                 submitted += 1
-            if not pending or (winner is not None and min(pending.values()) > winner):
-                break
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                i = pending.pop(fut)
-                results[i] = fut.result()
-                if results[i][0] is not None and (winner is None or i < winner):
-                    winner = i
+            found, *counts = window.popleft().result()
+            totals = [a + b for a, b in zip(totals, counts)]
         pool.shutdown(cancel_futures=True)
-    last = n_chunks - 1 if winner is None else winner
-    totals = [sum(results[i][j] for i in range(last + 1)) for j in (1, 2, 3)]
-    return (None if winner is None else results[winner][0], *totals)
+    return (found, *totals)

@@ -10,6 +10,7 @@ desk-scale exhaustive experiments.
 
 from __future__ import annotations
 
+import functools
 import random
 
 DEFAULT_Q = 65537
@@ -19,6 +20,7 @@ DEFAULT_Q = 65537
 _MR_BASES = (2, 3, 5, 7)
 
 
+@functools.cache  # every vault parse and PrimeField(q) re-tests the same few moduli
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

@@ -7,6 +7,9 @@ import math
 
 from .seeds import as_rng
 
+# Draws per point before rejection sampling gives up on a saturated frame.
+MAX_PLACEMENT_TRIES = 10_000
+
 
 class PlacementError(RuntimeError):
     """Rejection sampling could not place the requested number of points."""
@@ -54,6 +57,18 @@ class PointGrid:
             if dx * dx + dy * dy < d2:
                 return True
         return False
+
+    def place(self, width: int, height: int, dist: float, rng) -> tuple[int, int] | None:
+        """Draw pixels (x, then y) uniformly from a width x height frame until
+        no stored point lies closer than dist; add and return that pixel, or
+        None after MAX_PLACEMENT_TRIES draws."""
+        for _ in range(MAX_PLACEMENT_TRIES):
+            x = rng.randrange(width)
+            y = rng.randrange(height)
+            if not self.too_close(x, y, dist):
+                self.add(x, y)
+                return x, y
+        return None
 
     def any_within(self, x: float, y: float, dist: float) -> bool:
         """True when some stored point lies within dist (inclusive)."""

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from .geometry import PlacementError, PointGrid
 from .seeds import as_rng
 
-MAX_PLACEMENT_TRIES = 10_000
-
 
 @dataclass(frozen=True)
 class Minutia:
@@ -76,18 +74,14 @@ def gen_template(
     grid = PointGrid(max(d_min, 1.0))
     minutiae = []
     for _ in range(count):
-        for _ in range(MAX_PLACEMENT_TRIES):
-            x = rng.randrange(width)
-            y = rng.randrange(height)
-            if not grid.too_close(x, y, d_min):
-                break
-        else:
+        placed = grid.place(width, height, d_min, rng)
+        if placed is None:
             raise PlacementError(
                 f"placed only {len(minutiae)} of {count} minutiae at d_min={d_min} "
                 f"in {width}x{height}",
                 placed=len(minutiae),
             )
-        grid.add(x, y)
+        x, y = placed
         if theta_steps:
             theta = (math.pi / theta_steps) * rng.randrange(theta_steps)
         else:
@@ -138,9 +132,26 @@ def template_to_dict(template: Template) -> dict:
     }
 
 
+class TemplateFormatError(ValueError):
+    """A template file whose JSON types do not describe a template."""
+
+
 def template_from_dict(obj: dict) -> Template:
-    minutiae = tuple(Minutia(m["x"], m["y"], m["theta"]) for m in obj["minutiae"])
-    return Template(minutiae, obj["w"], obj["h"])
+    """Raises TemplateFormatError unless ``obj`` is a JSON object with int w
+    and h (a bool is not an int) and a list of minutiae with int x and y and
+    a numeric theta; Template then checks the frame and [0, pi) ranges."""
+    w, h, points = map(obj.get, ("w", "h", "minutiae")) if type(obj) is dict else [None] * 3
+    if not (type(w) is type(h) is int and type(points) is list):
+        raise TemplateFormatError("a template file is one JSON object with int w and h "
+                                  "and a list of minutiae")
+    minutiae = []
+    for m in points:
+        get = m.get if type(m) is dict else {}.get
+        x, y, theta = get("x"), get("y"), get("theta")
+        if not (type(x) is type(y) is int and type(theta) in (int, float)):
+            raise TemplateFormatError(f"minutia {m!r:.60} needs int x and y and a number theta")
+        minutiae.append(Minutia(x, y, theta))
+    return Template(tuple(minutiae), w, h)
 
 
 def template_to_json(template: Template) -> str:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from dataclasses import dataclass, replace
 
 from .coding import Secret, encode_secret
@@ -19,8 +20,6 @@ from .geometry import HexLattice, PlacementError, PointGrid
 from .quiz import QuizParams, encode_point, random_grid_beta
 from .seeds import as_rng, substream
 from .simulate import Minutia, Template, template_from_dict, template_to_dict
-
-MAX_CHAFF_TRIES = 10_000
 
 GRID_RANDOM = "random"
 GRID_HEX = "hex"
@@ -146,7 +145,6 @@ def gen_chaff_random(
     coeffs,
     q: int,
     rng: random.Random,
-    max_tries: int = MAX_CHAFF_TRIES,
 ) -> list[VaultRecord]:
     """Rejection-sampled uniform chaff: r - len(existing) points, all pairwise
     and against-existing distances >= d, ordinates uniform off the graph."""
@@ -160,18 +158,14 @@ def gen_chaff_random(
         grid.add(x, y)
     records = []
     for _ in range(target):
-        for _ in range(max_tries):
-            x = rng.randrange(width)
-            y = rng.randrange(height)
-            if not grid.too_close(x, y, d):
-                break
-        else:
+        placed = grid.place(width, height, d, rng)
+        if placed is None:
             raise PlacementError(
                 f"packing saturated: placed {len(records)} of {target} chaff points "
                 f"at d={d} in {width}x{height}",
                 placed=len(records),
             )
-        grid.add(x, y)
+        x, y = placed
         graph_value = field.poly_eval(coeffs, concat_coord(x, y, shift))
         records.append(VaultRecord(x, y, _off_graph_value(field, graph_value, rng)))
     return records
@@ -358,8 +352,10 @@ class VaultFormatError(ValueError):
 
 def vault_from_json(text: str) -> Vault:
     """Parse a vault file.  Raises VaultFormatError unless the JSON types are
-    right (a bool is not an int), q is a prime below 2**31, the grid kind is
-    known, 1 <= k <= r, 0 <= Y < q and points carry a beta iff quiz_n > 0."""
+    right (a bool is not an int), q is a prime below 2**31, d is a finite
+    number above 0, the grid kind is known, 1 <= k <= r, every point has
+    0 <= y < 2**coord_shift(q), x >= 0, an abscissa x || y below q and
+    0 <= Y < q, and points carry a finite beta iff quiz_n > 0."""
     obj = json.loads(text)
     head = ("q", "k", "d", "grid", "quiz_n", "points")
     q, k, d, grid, quiz_n, points = map(obj.get, head) if type(obj) is dict else [None] * 6
@@ -369,18 +365,25 @@ def vault_from_json(text: str) -> Vault:
                                "a number d and a list of points")
     if not (q < 2**31 and is_prime(q)):
         raise VaultFormatError(f"vault modulus q={q} is not a prime below 2**31")
+    if not 0 < d <= sys.float_info.max:
+        raise VaultFormatError(f"vault distance d={d!r:.20} is not a finite number above 0")
     if grid not in (GRID_RANDOM, GRID_HEX):
         raise VaultFormatError(f"unknown grid kind: {grid!r:.40}")
     if not 1 <= k <= len(points):
         raise VaultFormatError(f"vault k={k} is outside 1..r={len(points)}")
     beta_kinds = (int, float) if quiz_n else (type(None),)
+    shift = coord_shift(q)
     records = []
     for p in points:
         get = p.get if type(p) is dict else {}.get
         x, y, Y, beta = get("x"), get("y"), get("Y"), get("beta")
-        if not (type(x) is type(y) is type(Y) is int and 0 <= Y < q and type(beta) in beta_kinds):
+        if not (type(x) is type(y) is type(Y) is int and 0 <= Y < q and type(beta) in beta_kinds
+                and (beta is None or abs(beta) <= sys.float_info.max)):
             raise VaultFormatError(f"vault point {p!r:.60} needs int x, y and Y in [0, q={q}) "
-                                   "and a numeric beta if and only if quiz_n > 0")
+                                   "and a finite beta if and only if quiz_n > 0")
+        if not (0 <= y < 1 << shift and x >= 0 and concat_coord(x, y, shift) < q):
+            raise VaultFormatError(f"vault point {p!r:.60} needs 0 <= y < 2**{shift}, x >= 0 "
+                                   f"and an abscissa x || y below q={q}")
         records.append(VaultRecord(x, y, Y, beta))
     return Vault(q, k, d, grid, quiz_n, tuple(records))
 

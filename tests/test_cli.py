@@ -1,9 +1,12 @@
 import json
+import math
 import resource
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 CLI = [sys.executable, "-m", "fuzzyvault"]
 
@@ -359,8 +362,16 @@ class TestVaultFormat:
         (_first_point("Y", -1), "Y in [0, q=65537)"),
         (_first_point("x", "12"), "int x, y and Y"),
         (lambda vault: [vault], "one JSON object with int q"),
+        (_set("d", -1), "d=-1 is not a finite number above 0"),
+        (_set("d", math.inf), "d=inf is not a finite number above 0"),
+        (_set("d", 10**400), "is not a finite number above 0"),
+        (_first_point("x", 400), "abscissa x || y below q=65537"),
+        (_first_point("y", 300), "0 <= y < 2**8"),
+        (_first_point("x", -1), "x >= 0"),
+        (_first_point("x", 10**30), "abscissa x || y below q=65537"),
     ], ids=["k-zero", "k-above-r", "k-bool", "q-composite", "grid-unknown", "Y-huge",
-            "Y-negative", "x-string", "file-is-a-list"])
+            "Y-negative", "x-string", "file-is-a-list", "d-negative", "d-infinite", "d-huge",
+            "x-out-of-frame", "y-out-of-frame", "x-negative", "x-huge"])
     def test_malformed_vault_is_a_parameter_error(self, workdir, mutate, message):
         vault = json.loads((workdir / "vault.json").read_text())
         path = workdir / "malformed.json"
@@ -370,6 +381,79 @@ class TestVaultFormat:
         assert r.returncode == 2 and r.stdout == ""
         assert r.stderr.startswith("error:") and len(r.stderr.splitlines()) == 1
         assert message in r.stderr
+
+
+def _minutia(field, value):
+    def mutate(template):
+        template["minutiae"][0][field] = value
+        return template
+    return mutate
+
+
+class TestTemplateFormat:
+    @pytest.mark.parametrize("mutate, message", [
+        (_minutia("x", None), "needs int x and y and a number theta"),
+        (_minutia("theta", "0.5"), "needs int x and y and a number theta"),
+        (_set("minutiae", 5), "one JSON object with int w and h and a list of minutiae"),
+        (lambda template: [template], "one JSON object with int w and h"),
+        (lambda template: {}, "one JSON object with int w and h"),
+        (_set("w", True), "one JSON object with int w and h"),
+        (_minutia("theta", math.nan), "orientation nan outside [0, pi)"),
+    ], ids=["x-null", "theta-string", "minutiae-int", "file-is-a-list", "empty-object",
+            "w-bool", "theta-nan"])
+    @pytest.mark.parametrize("command", ["lock", "unlock"])
+    def test_malformed_template_is_a_parameter_error(self, workdir, mutate, message, command):
+        template = json.loads((workdir / "tpl15.json").read_text())
+        path = workdir / "malformed_tpl.json"
+        path.write_text(json.dumps(mutate(template)))
+        argv = [command, "--template", str(path), "--seed", "1"]
+        if command == "lock":
+            argv += ["--preset", "small-attack", "-o", str(workdir / "unused.json")]
+        else:
+            argv += ["--vault", str(workdir / "vault.json"), "--bits", "64"]
+        r = run(argv)
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr.startswith("error:") and len(r.stderr.splitlines()) == 1
+        assert message in r.stderr
+
+
+_DELETE = object()
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=3),
+    max_leaves=4,
+)
+
+
+@given(data=st.data())
+@settings(deadline=None)
+def test_any_one_field_mutation_exits_0_2_or_3(workdir, data):
+    """One field of the small-attack vault or of its template set to any JSON
+    value, or deleted: attack and unlock end with a report or a one-line
+    error, never an escaping exception."""
+    from fuzzyvault.cli import main
+
+    kind = data.draw(st.sampled_from(["vault", "tpl15"]))
+    obj = json.loads((workdir / f"{kind}.json").read_text())
+    items = obj["points" if kind == "vault" else "minutiae"]
+    owner = data.draw(st.sampled_from([obj, items[0], items[-1]]))
+    key = data.draw(st.sampled_from(sorted(owner)))
+    value = data.draw(st.just(_DELETE) | _JSON)
+    if value is _DELETE:
+        del owner[key]
+    else:
+        owner[key] = value
+    path = workdir / f"mutated_{kind}.json"
+    path.write_text(json.dumps(obj))
+    vault, template = (path, workdir / "tpl15.json") if kind == "vault" else (
+        workdir / "vault.json", path)
+    out = str(workdir / "mutated_report.json")
+    common = ["--budget", "10", "--seed", "1", "-o", out]
+    if kind == "vault":
+        assert main(["attack", "--vault", str(vault), *common]) in (0, 2, 3)
+    assert main(["unlock", "--vault", str(vault), "--template", str(template), "--bits", "64",
+                 *common]) in (0, 2, 3)
 
 
 def _cap_address_space():

@@ -3,6 +3,7 @@ parallel runner."""
 
 import itertools
 import math
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -283,3 +284,47 @@ def test_pool_spends_the_exact_budget_when_nothing_succeeds(counting_pool):
     single = brute_force_attack(vault, D=vault.r, budget=1300, seed=3)
     assert single.trials == single.interpolations == 1300
     assert counting_pool.submits == 3  # one worker runs its chunks in process
+
+
+class _Refused(Exception):
+    pass
+
+
+class _NoPool:
+    """Records the pool size asked for and refuses before any process starts."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, **kwargs):
+        self.sizes.append(max_workers)
+        raise _Refused
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    monkeypatch.setattr(_NoPool, "sizes", [])
+    monkeypatch.setattr(consensus, "ProcessPoolExecutor", _NoPool)
+    return _NoPool
+
+
+@pytest.mark.parametrize("points, budget", [(None, 512), (None, 0), ("k-1", 10**6)],
+                         ids=["one-chunk", "zero-budget", "fewer-than-k-points"])
+def test_no_pool_starts_for_fewer_than_two_chunks(no_pool, points, budget):
+    index = _quiz_index(0)
+    if points == "k-1":
+        points = (index._x[: index.k - 1], index._y[: index.k - 1])
+    got = consensus.search_pool(index, points, budget, 512, "0/attack-chunk", 2, D=index.r,
+                                crc=None)
+    assert got[0] is None and got[1] == (budget if points is None else 0)
+    assert no_pool.sizes == []
+
+
+def test_pool_size_is_capped_by_the_cpu_count(no_pool):
+    index = _quiz_index(0)
+    cpus = os.cpu_count() or 1
+    budget = 2 * cpus * 512  # more chunks than CPUs
+    if cpus >= 2:
+        with pytest.raises(_Refused):
+            consensus.search_pool(index, None, budget, 512, "0/attack-chunk", 10**6, D=index.r,
+                                  crc=None)
+    assert no_pool.sizes == ([cpus] if cpus >= 2 else [])

@@ -29,6 +29,7 @@ from fuzzyvault import (
     vault_params,
     vault_to_json,
 )
+from fuzzyvault.vault import VaultFormatError
 
 F = PrimeField()
 
@@ -272,6 +273,14 @@ class TestSerialization:
         text = vault_to_json(vault).replace('"quiz_n": 0', '"quiz_n": 4')
         with pytest.raises(ValueError):
             vault_from_json(text)
+
+    @pytest.mark.parametrize("beta", ["10" * 200, "Infinity", "NaN"])
+    def test_quiz_beta_must_be_finite(self, beta):
+        _, _, vault, _ = small_vault(quiz_n=4)
+        lines = vault_to_json(vault).splitlines()
+        lines[1] = lines[1].split('"beta": ')[0] + f'"beta": {beta}}},'
+        with pytest.raises(VaultFormatError, match="finite beta"):
+            vault_from_json("\n".join(lines))
 
     def test_vault_equality_is_structural(self):
         _, _, vault, _ = small_vault()
