@@ -50,10 +50,14 @@ class TestHexLattice:
             assert 0 <= round(x) <= 255 and 0 <= round(y) <= 255
 
     def test_nearest_matches_brute_force(self):
-        lat = HexLattice(256, 256, 11.0, seed=5)
         rng = random.Random(6)
-        for _ in range(200):
-            px, py = rng.uniform(0, 255), rng.uniform(0, 255)
+        queries = [(5, rng.uniform(0, 255), rng.uniform(0, 255)) for _ in range(200)]
+        # two points outside the frame, where the nearest site is far away
+        queries += [(5, 278.3180226657965, -6.134615506056345),
+                    (1, 271.04529715394233, 256.98923465596147)]
+        lattices = {seed: HexLattice(256, 256, 11.0, seed=seed) for seed in (1, 5)}
+        for seed, px, py in queries:
+            lat = lattices[seed]
             idx, dist = lat.nearest(px, py)
             brute = min(
                 (math.hypot(sx - px, sy - py), i) for i, (sx, sy) in enumerate(lat.sites)

@@ -3,9 +3,12 @@
 Attack and unlock reports must replay byte for byte across versions of the
 search engine: the candidate stream (subset draws, transform assignments,
 acceptance order, budget cut) is part of the file format.  A mismatch here
-means a counter or the recovered secret moved for a given seed.
+means a counter or the recovered secret moved for a given seed.  Hex-grid
+vault files are pinned by digest: every lattice site, snapped genuine point,
+chaff ordinate and quiz beta is part of those bytes.
 """
 
+import hashlib
 import json
 import random
 
@@ -27,6 +30,7 @@ from fuzzyvault import (
 from fuzzyvault.attack import report_to_dict
 from fuzzyvault.simulate import Minutia
 from fuzzyvault.unlock import result_to_dict
+from fuzzyvault.vault import vault_to_json
 
 
 def _locked(params, t, bits, seed):
@@ -140,3 +144,24 @@ GOLDEN = [
 )
 def test_report_bytes_are_pinned(case, seed, kwargs, expected):
     assert json.dumps(case(seed, **kwargs)) == expected
+
+
+HEX_GOLDEN = [
+    # (k, t, quiz_n, secret bits, seed, sha256 of the vault file)
+    (6, 20, 0, 64, 1, "ed4729b692e86da45b02dd7c21841c610dbef8545ec5a72d2ee1197aa0a63c43"),
+    (6, 20, 0, 64, 2, "914a3d08b13af7a2aec81144d2f13e00ded73e9acb477eb276b5160bc3921c67"),
+    (6, 20, 0, 64, 3, "a74f43aaa1012a5dbb7c3331b1800bb5704bbcf1762e5ff4b2357c142b4fe02b"),
+    (3, 8, 4, 40, 4, "19c0deebb532bef4de2f9c68d487233acde897bbe84fa282dc92e50c5e627066"),
+    (3, 8, 4, 40, 5, "aa1199ab44872fda5d7ef6890225c809c6d5154a040d0e7b4e6f8642b88a6dbc"),
+    (3, 8, 4, 40, 6, "187268795ec7130016208d2234dd3294f229b0c5e2fcec8db65b4a3914b6175d"),
+]
+
+
+@pytest.mark.parametrize(
+    "k, t, quiz_n, bits, seed, digest", HEX_GOLDEN,
+    ids=[f"hex-k{k}-t{t}-quiz{n}-{seed}" for k, t, n, _, seed, _ in HEX_GOLDEN],
+)
+def test_hex_vault_bytes_are_pinned(k, t, quiz_n, bits, seed, digest):
+    params = VaultParams(k=k, t=t, r=0, grid="hex", quiz_n=quiz_n)
+    _, vault, _ = _locked(params, t, bits, seed)
+    assert hashlib.sha256(vault_to_json(vault).encode()).hexdigest() == digest
