@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .seeds import as_rng
 
 # Draws per point before rejection sampling gives up on a saturated frame.
@@ -88,62 +90,45 @@ class HexLattice:
     uniformly over one fundamental domain (seeded), so absolute site
     positions leak no alignment between vaults built from different seeds.
     Only sites whose nearest pixel centre falls inside the frame are kept.
+    Nearest-site queries scan every site; ties go to the lowest index.
     """
 
     def __init__(self, width: int, height: int, d: float, seed):
         if d <= 0:
             raise ValueError("lattice spacing must be positive")
         rng = as_rng(seed)
-        self.width = width
-        self.height = height
         self.d = float(d)
-        self.pitch = d * math.sqrt(3) / 2.0
-        self.origin_x = rng.uniform(0.0, d)
-        self.origin_y = rng.uniform(0.0, self.pitch)
+        pitch = d * math.sqrt(3) / 2.0
+        origin_x = rng.uniform(0.0, d)
+        origin_y = rng.uniform(0.0, pitch)
         sites: list[tuple[float, float]] = []
-        self._by_cell: dict[tuple[int, int], int] = {}
         row = 0
-        while True:
-            y = self.origin_y + row * self.pitch
-            if y >= height - 0.5:
-                break
-            start = (self.origin_x + (d / 2.0 if row % 2 else 0.0)) % d
+        while (y := origin_y + row * pitch) < height - 0.5:
+            start = (origin_x + (d / 2.0 if row % 2 else 0.0)) % d
             col = 0
             x = start
             while x < width - 0.5:
-                self._by_cell[(row, col)] = len(sites)
                 sites.append((x, y))
                 col += 1
                 x = start + col * d
             row += 1
         self.sites = tuple(sites)
+        self._xs, self._ys = np.array(sites, dtype=np.float64).reshape(-1, 2).T
 
-    def _window(self, x: float, y: float, radius_cells: int = 2):
-        row0 = round((y - self.origin_y) / self.pitch)
-        col0 = round((x - self.origin_x) / self.d)
-        for r in range(row0 - radius_cells, row0 + radius_cells + 1):
-            for c in range(col0 - radius_cells, col0 + radius_cells + 1):
-                idx = self._by_cell.get((r, c))
-                if idx is not None:
-                    yield idx
+    def _closest(self, x: float, y: float, penalty=0.0) -> tuple[int, float]:
+        """Index and squared distance of the closest site to (x, y) once
+        ``penalty`` (inf for a taken site) is added to each squared distance."""
+        if not self.sites:
+            raise SnappingError("lattice has no sites")
+        d2 = (self._xs - x) ** 2 + (self._ys - y) ** 2 + penalty
+        idx = int(d2.argmin())
+        return idx, float(d2[idx])
 
     def nearest(self, x: float, y: float) -> tuple[int, float]:
         """Index and distance of the closest site.  For points inside the
         frame the distance is at most d/sqrt(3) plus edge effects."""
-        best, best_d2 = -1, math.inf
-        for idx in self._window(x, y):
-            sx, sy = self.sites[idx]
-            d2 = (sx - x) ** 2 + (sy - y) ** 2
-            if d2 < best_d2:
-                best, best_d2 = idx, d2
-        if best < 0:  # degenerate frame; fall back to a full scan
-            for idx, (sx, sy) in enumerate(self.sites):
-                d2 = (sx - x) ** 2 + (sy - y) ** 2
-                if d2 < best_d2:
-                    best, best_d2 = idx, d2
-        if best < 0:
-            raise SnappingError("lattice has no sites")
-        return best, math.sqrt(best_d2)
+        idx, d2 = self._closest(x, y)
+        return idx, math.sqrt(d2)
 
     def snap(self, points) -> list[tuple[int, float]]:
         """Assign each point the nearest free site, in input order.
@@ -151,21 +136,14 @@ class HexLattice:
         Raises SnappingError when competition for sites would push an
         assignment farther than d away (no free neighbour).
         """
-        taken: set[int] = set()
+        taken = np.zeros(len(self.sites))
         out: list[tuple[int, float]] = []
         for x, y in points:
-            candidates = sorted(
-                (
-                    ((self.sites[i][0] - x) ** 2 + (self.sites[i][1] - y) ** 2, i)
-                    for i in self._window(x, y)
-                    if i not in taken
-                ),
-            )
-            if not candidates or candidates[0][0] > self.d * self.d:
+            idx, d2 = self._closest(x, y, taken)
+            if d2 > self.d * self.d:
                 raise SnappingError(
                     f"no free lattice site within {self.d} of point ({x}, {y})"
                 )
-            d2, idx = candidates[0]
-            taken.add(idx)
+            taken[idx] = math.inf
             out.append((idx, math.sqrt(d2)))
         return out

@@ -180,11 +180,11 @@ def gen_chaff_hexgrid(
     q: int,
     lattice_seed,
     rng: random.Random,
-) -> tuple[list[VaultRecord], list[VaultRecord], HexLattice]:
+) -> tuple[list[VaultRecord], list[VaultRecord]]:
     """Quantize the minutiae to a jittered hexagonal lattice and turn every
     remaining site into chaff, so the vault occupies the full site set.
 
-    Returns (genuine records, chaff records, lattice).  Records store the
+    Returns (genuine records, chaff records).  Records store the
     nearest-pixel position of their site; snapping displacement is bounded
     by the cell circumradius d/sqrt(3) (measured in lattice coordinates).
     """
@@ -197,27 +197,15 @@ def gen_chaff_hexgrid(
             placed=0,
         )
     assignments = lattice.snap([(m.x, m.y) for m in minutiae])
-    taken = {idx for idx, _ in assignments}
-
-    def pixel(site):
-        return round(site[0]), round(site[1])
-
-    pixels = {pixel(s) for s in lattice.sites}
-    if len(pixels) != len(lattice.sites):
+    pixels = [(round(x), round(y)) for x, y in lattice.sites]
+    if len(set(pixels)) != len(pixels):
         raise ValueError(f"lattice spacing d={d} too small for pixel quantization")
-
-    genuine = []
-    for idx, _ in assignments:
-        x, y = pixel(lattice.sites[idx])
-        genuine.append(VaultRecord(x, y, field.poly_eval(coeffs, concat_coord(x, y, shift))))
-    chaff = []
-    for idx, site in enumerate(lattice.sites):
-        if idx in taken:
-            continue
-        x, y = pixel(site)
-        graph_value = field.poly_eval(coeffs, concat_coord(x, y, shift))
-        chaff.append(VaultRecord(x, y, _off_graph_value(field, graph_value, rng)))
-    return genuine, chaff, lattice
+    values = [field.poly_eval(coeffs, concat_coord(x, y, shift)) for x, y in pixels]
+    taken = {idx for idx, _ in assignments}
+    genuine = [VaultRecord(*pixels[idx], values[idx]) for idx, _ in assignments]
+    chaff = [VaultRecord(*pixels[idx], _off_graph_value(field, values[idx], rng))
+             for idx in range(len(pixels)) if idx not in taken]
+    return genuine, chaff
 
 
 def _apply_quiz(
@@ -272,7 +260,7 @@ def lock_polynomial(
     else:
         # Hex mode: the vault occupies the full lattice site set, so the
         # requested r is superseded by the site count.
-        genuine, chaff, _ = gen_chaff_hexgrid(
+        genuine, chaff = gen_chaff_hexgrid(
             chosen, params.d, params.width, params.height,
             coeffs, params.q, substream(seed, "lattice"), chaff_rng,
         )
