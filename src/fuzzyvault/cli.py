@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import secrets as _entropy
@@ -198,19 +199,15 @@ def cmd_sweep(args) -> int:
     d_values = args.D if args.D else [None]
     rows = []
     skipped = 0
-    for q in args.q:
-        for r in args.r:
-            for t in args.t:
-                for k in args.k:
-                    for D in d_values:
-                        for quiz_n in args.quiz_n:
-                            if not (k <= t <= r) or (D is not None and D > t):
-                                skipped += 1
-                                continue
-                            row = dict(r=r, t=t, k=k, q=q, quiz_n=quiz_n, mu=args.mu)
-                            if D is not None:
-                                row["D"] = D
-                            rows.append(row)
+    grid = itertools.product(args.q, args.r, args.t, args.k, d_values, args.quiz_n)
+    for q, r, t, k, D, quiz_n in grid:
+        if not (k <= t <= r) or (D is not None and D > t):
+            skipped += 1
+            continue
+        row = dict(r=r, t=t, k=k, q=q, quiz_n=quiz_n, mu=args.mu)
+        if D is not None:
+            row["D"] = D
+        rows.append(row)
     if skipped:
         _log(f"skipped {skipped} grid points violating k <= t <= r (and D <= t)")
     seed = _resolve_seed(args) if args.empirical_runs else (args.seed or 0)

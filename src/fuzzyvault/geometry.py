@@ -35,12 +35,10 @@ class PointGrid:
     def __init__(self, cell: float):
         self.cell = float(cell)
         self._cells: dict[tuple[int, int], list[tuple[float, float]]] = {}
-        self.count = 0
 
     def add(self, x: float, y: float) -> None:
         key = (int(x // self.cell), int(y // self.cell))
         self._cells.setdefault(key, []).append((x, y))
-        self.count += 1
 
     def _near(self, x: float, y: float):
         cx, cy = int(x // self.cell), int(y // self.cell)
