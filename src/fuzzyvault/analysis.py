@@ -204,6 +204,8 @@ def sweep(
     workers: int = 1,
 ) -> list[ComplexityEstimate]:
     """Evaluate a grid of parameter dicts (keys as in estimate())."""
+    if empirical_runs < 0:
+        raise ValueError(f"empirical_runs={empirical_runs} is negative")
     out = []
     for row in rows:
         est = estimate(**row)

@@ -95,6 +95,8 @@ def brute_force_attack(
         if t_assumed is None:
             raise ValueError("provide a budget or an assumed genuine count t_assumed")
         budget = default_budget(vault.r, t_assumed, vault.k)
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget={budget} is negative")
 
     start = time.perf_counter()
     index = VaultIndex(vault)

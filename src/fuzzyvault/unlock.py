@@ -50,6 +50,8 @@ class UnlockResult:
 def build_unlocking_set(vault: Vault, template: Template, tau: float) -> UnlockingSet:
     """Greedy nearest-pair matching with distance <= tau.  Ties break on
     (distance, record index, minutia index), so the result is deterministic."""
+    if not tau >= 0:
+        raise ValueError(f"match tolerance tau={tau} is not a number >= 0")
     tau2 = tau * tau
     scored = []
     for ri, rec in enumerate(vault.records):
@@ -109,6 +111,8 @@ def consensus_decode(
     A failure result signals insufficient overlap, not corruption.
     """
     rule = stop_rule(vault, mode, D, bits, coeffs_pass_crc)
+    if budget < 0:
+        raise ValueError(f"budget={budget} is negative")
     if crc_encoded is None:
         crc_encoded = mode == "crc"
 

@@ -389,16 +389,30 @@ def truth_to_json(truth: GroundTruth) -> str:
     return json.dumps(obj) + "\n"
 
 
+def _int_list(value) -> bool:
+    return type(value) is list and all(type(v) is int for v in value)
+
+
 def truth_from_json(text: str) -> GroundTruth:
+    """Parse a truth file.  Raises VaultFormatError unless it is one JSON
+    object with every truth key, secret_hex is a str or null (with an int l
+    for a str), f_coeffs and genuine_indices are lists of ints, t is an int,
+    seed an int or null (a bool is not an int) and template_from_dict
+    accepts the template."""
     obj = json.loads(text)
-    secret = None
-    if obj["secret_hex"] is not None:
-        secret = Secret.from_hex(obj["secret_hex"], obj["l"])
-    return GroundTruth(
-        secret=secret,
-        coeffs=tuple(obj["f_coeffs"]),
-        genuine_indices=tuple(obj["genuine_indices"]),
-        t=obj["t"],
-        template=template_from_dict(obj["template"]),
-        seed=obj["seed"],
-    )
+    head = ("secret_hex", "l", "f_coeffs", "t", "genuine_indices", "template", "seed")
+    if not (type(obj) is dict and obj.keys() >= set(head)):
+        raise VaultFormatError(f"a truth file is one JSON object with the keys {', '.join(head)}")
+    secret_hex, bits, coeffs, t, indices, template, seed = map(obj.get, head)
+    if not (type(secret_hex) in (str, type(None)) and (secret_hex is None or type(bits) is int)
+            and _int_list(coeffs) and _int_list(indices) and type(t) is int
+            and type(seed) in (int, type(None))):
+        raise VaultFormatError("a truth file needs secret_hex a str or null, an int l with a "
+                               "str, int lists f_coeffs and genuine_indices, an int t and "
+                               "an int or null seed")
+    try:
+        template = template_from_dict(template)
+    except ValueError as exc:
+        raise VaultFormatError(f"truth file template: {exc}") from None
+    secret = None if secret_hex is None else Secret.from_hex(secret_hex, bits)
+    return GroundTruth(secret, tuple(coeffs), tuple(indices), t, template, seed)

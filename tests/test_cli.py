@@ -150,6 +150,38 @@ class TestUnlockAttack:
         assert r.returncode == 2
 
 
+class TestNegativeValues:
+    @pytest.mark.parametrize("argv, message", [
+        (["unlock", "--tau", "-3"], "tau=-3.0 is not a number >= 0"),
+        (["unlock", "--tau", "nan"], "tau=nan is not a number >= 0"),
+        (["unlock", "--budget", "-5"], "budget=-5 is negative"),
+        (["attack", "--budget", "-5"], "budget=-5 is negative"),
+        (["attack", "--exhaustive", "--budget", "-5"], "budget=-5 is negative"),
+        (["sweep", "--r", "30", "--t", "8", "--k", "3", "--empirical-runs", "-2"],
+         "empirical_runs=-2 is negative"),
+    ], ids=["unlock-tau", "unlock-tau-nan", "unlock-budget", "attack-budget",
+            "exhaustive-budget", "sweep-runs"])
+    def test_negative_value_is_a_parameter_error(self, workdir, argv, message):
+        if argv[0] != "sweep":
+            argv = argv + ["--vault", str(workdir / "vault.json"), "--D", "9", "--bits", "64"]
+        if argv[0] == "unlock":
+            argv = argv + ["--template", str(workdir / "tpl15.json")]
+        r = run(argv + ["--seed", "1"])
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr.startswith("error:") and len(r.stderr.splitlines()) == 1
+        assert message in r.stderr
+
+    @pytest.mark.parametrize("command", ["attack", "unlock"])
+    def test_zero_budget_is_exhausted_at_once(self, workdir, command):
+        argv = [command, "--vault", str(workdir / "vault.json"), "--D", "9", "--bits", "64",
+                "--budget", "0", "--seed", "1"]
+        if command == "unlock":
+            argv += ["--template", str(workdir / "tpl15.json")]
+        r = run(argv)
+        assert r.returncode == 3
+        assert json.loads(r.stdout)["success"] is False
+
+
 class TestEstimateSweep:
     def test_estimate_clancy_row_and_annotations(self):
         r = run(["estimate", "--preset", "clancy"])

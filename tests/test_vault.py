@@ -282,6 +282,29 @@ class TestSerialization:
         with pytest.raises(VaultFormatError, match="finite beta"):
             vault_from_json("\n".join(lines))
 
+    @pytest.mark.parametrize("mutate", [
+        lambda obj: [obj],
+        lambda obj: {key: value for key, value in obj.items() if key != "t"},
+        lambda obj: {**obj, "f_coeffs": 5},
+        lambda obj: {**obj, "f_coeffs": ["a"]},
+        lambda obj: {**obj, "genuine_indices": None},
+        lambda obj: {**obj, "genuine_indices": [True]},
+        lambda obj: {**obj, "l": "48"},
+        lambda obj: {**obj, "secret_hex": 5},
+        lambda obj: {**obj, "t": "8"},
+        lambda obj: {**obj, "t": True},
+        lambda obj: {**obj, "seed": 1.5},
+        lambda obj: {**obj, "template": {"w": 256}},
+        lambda obj: {**obj, "template": {**obj["template"], "w": 0}},
+    ], ids=["file-is-a-list", "t-missing", "f_coeffs-int", "f_coeffs-string-entry",
+            "genuine_indices-null", "genuine_indices-bool-entry", "l-string", "secret_hex-int",
+            "t-string", "t-bool", "seed-float", "template-no-minutiae", "template-zero-width"])
+    def test_malformed_truth_file_is_a_format_error(self, mutate):
+        _, _, _, truth = small_vault()
+        text = json.dumps(mutate(json.loads(truth_to_json(truth))))
+        with pytest.raises(VaultFormatError):
+            truth_from_json(text)
+
     def test_vault_equality_is_structural(self):
         _, _, vault, _ = small_vault()
         clone = Vault(vault.q, vault.k, vault.d, vault.grid, vault.quiz_n, vault.records)
