@@ -210,7 +210,7 @@ def cmd_sweep(args) -> int:
         rows.append(row)
     if skipped:
         _log(f"skipped {skipped} grid points violating k <= t <= r (and D <= t)")
-    seed = _resolve_seed(args) if args.empirical_runs else (args.seed or 0)
+    seed = _resolve_seed(args) if args.empirical_runs > 0 else (args.seed or 0)
     estimates = analysis.sweep(
         rows, empirical_runs=args.empirical_runs, seed=seed, workers=args.workers
     )

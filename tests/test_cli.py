@@ -162,11 +162,12 @@ class TestNegativeValues:
     ], ids=["unlock-tau", "unlock-tau-nan", "unlock-budget", "attack-budget",
             "exhaustive-budget", "sweep-runs"])
     def test_negative_value_is_a_parameter_error(self, workdir, argv, message):
-        if argv[0] != "sweep":
-            argv = argv + ["--vault", str(workdir / "vault.json"), "--D", "9", "--bits", "64"]
+        if argv[0] != "sweep":  # sweep without --seed: no seed line before the error
+            argv = argv + ["--vault", str(workdir / "vault.json"), "--D", "9", "--bits", "64",
+                           "--seed", "1"]
         if argv[0] == "unlock":
             argv = argv + ["--template", str(workdir / "tpl15.json")]
-        r = run(argv + ["--seed", "1"])
+        r = run(argv)
         assert r.returncode == 2 and r.stdout == ""
         assert r.stderr.startswith("error:") and len(r.stderr.splitlines()) == 1
         assert message in r.stderr
