@@ -101,7 +101,10 @@ class HexLattice:
         origin_y = rng.uniform(0.0, pitch)
         sites: list[tuple[float, float]] = []
         row = 0
-        while (y := origin_y + row * pitch) < height - 0.5:
+        while True:
+            y = origin_y + row * pitch
+            if y >= height - 0.5:
+                break
             start = (origin_x + (d / 2.0 if row % 2 else 0.0)) % d
             col = 0
             x = start
