@@ -22,7 +22,7 @@ import numpy as np
 
 from .coding import Secret, coeffs_pass_crc, try_decode
 from .consensus import SWEEP_ELEMENTS, VaultIndex, search, search_pool, stop_rule
-from .geometry import PointGrid
+from .geometry import squared_distances
 from .seeds import substream  # noqa: F401  perfbench/tracer.py patches this name
 from .vault import Vault
 
@@ -162,12 +162,12 @@ def correlate_vaults(vaults: list[Vault], eps: float) -> list[tuple[int, int]]:
     lattices) neutralize the attack."""
     if not vaults:
         raise ValueError("need at least one vault")
+    if not eps >= 0:
+        raise ValueError(f"correlation radius eps={eps} is not a number >= 0")
     candidates = [(rec.x, rec.y) for rec in vaults[0].records]
     for other in vaults[1:]:
-        grid = PointGrid(max(eps, 1.0))
-        for rec in other.records:
-            grid.add(rec.x, rec.y)
-        candidates = [(x, y) for x, y in candidates if grid.any_within(x, y, eps)]
+        d2 = squared_distances(candidates, [(rec.x, rec.y) for rec in other.records])
+        candidates = list(itertools.compress(candidates, (d2 <= eps * eps).any(axis=1)))
     return candidates
 
 

@@ -25,6 +25,16 @@ class SnappingError(RuntimeError):
     """A minutia could not be assigned a free lattice site nearby."""
 
 
+def squared_distances(a, b) -> np.ndarray:
+    """The (len(a), len(b)) float64 array of squared distances from each
+    (x, y) point of a to each of b; exact for integer coordinates below 2**26."""
+    a = np.asarray(a, dtype=np.float64).reshape(-1, 2)
+    b = np.asarray(b, dtype=np.float64).reshape(-1, 2)
+    dx = a[:, 0, None] - b[:, 0]
+    dy = a[:, 1, None] - b[:, 1]
+    return dx * dx + dy * dy
+
+
 class PointGrid:
     """Bucketed point set for O(1) neighbourhood queries.
 
@@ -40,22 +50,16 @@ class PointGrid:
         key = (int(x // self.cell), int(y // self.cell))
         self._cells.setdefault(key, []).append((x, y))
 
-    def _near(self, x: float, y: float):
-        cx, cy = int(x // self.cell), int(y // self.cell)
-        cells = self._cells
-        for i in (cx - 1, cx, cx + 1):
-            for j in (cy - 1, cy, cy + 1):
-                pts = cells.get((i, j))
-                if pts:
-                    yield from pts
-
     def too_close(self, x: float, y: float, dist: float) -> bool:
         """True when some stored point lies strictly closer than dist."""
         d2 = dist * dist
-        for px, py in self._near(x, y):
-            dx, dy = px - x, py - y
-            if dx * dx + dy * dy < d2:
-                return True
+        cx, cy = int(x // self.cell), int(y // self.cell)
+        for i in (cx - 1, cx, cx + 1):
+            for j in (cy - 1, cy, cy + 1):
+                for px, py in self._cells.get((i, j), ()):
+                    dx, dy = px - x, py - y
+                    if dx * dx + dy * dy < d2:
+                        return True
         return False
 
     def place(self, width: int, height: int, dist: float, rng) -> tuple[int, int] | None:
@@ -69,15 +73,6 @@ class PointGrid:
                 self.add(x, y)
                 return x, y
         return None
-
-    def any_within(self, x: float, y: float, dist: float) -> bool:
-        """True when some stored point lies within dist (inclusive)."""
-        d2 = dist * dist
-        for px, py in self._near(x, y):
-            dx, dy = px - x, py - y
-            if dx * dx + dy * dy <= d2:
-                return True
-        return False
 
 
 class HexLattice:
@@ -114,14 +109,14 @@ class HexLattice:
                 x = start + col * d
             row += 1
         self.sites = tuple(sites)
-        self._xs, self._ys = np.array(sites, dtype=np.float64).reshape(-1, 2).T
+        self._sites = np.array(sites, dtype=np.float64).reshape(-1, 2)
 
     def _closest(self, x: float, y: float, penalty=0.0) -> tuple[int, float]:
         """Index and squared distance of the closest site to (x, y) once
         ``penalty`` (inf for a taken site) is added to each squared distance."""
         if not self.sites:
             raise SnappingError("lattice has no sites")
-        d2 = (self._xs - x) ** 2 + (self._ys - y) ** 2 + penalty
+        d2 = squared_distances((x, y), self._sites)[0] + penalty
         idx = int(d2.argmin())
         return idx, float(d2[idx])
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .coding import Secret, coeffs_pass_crc, try_decode
 from .consensus import VaultIndex, search_pool, stop_rule
+from .geometry import squared_distances
 from .quiz import apply_transform, recover_index
 from .simulate import Minutia, Template
 from .vault import Vault
@@ -52,18 +53,14 @@ def build_unlocking_set(vault: Vault, template: Template, tau: float) -> Unlocki
     (distance, record index, minutia index), so the result is deterministic."""
     if not tau >= 0:
         raise ValueError(f"match tolerance tau={tau} is not a number >= 0")
-    tau2 = tau * tau
-    scored = []
-    for ri, rec in enumerate(vault.records):
-        for mi, m in enumerate(template.minutiae):
-            d2 = (rec.x - m.x) ** 2 + (rec.y - m.y) ** 2
-            if d2 <= tau2:
-                scored.append((d2, ri, mi))
-    scored.sort()
+    d2 = squared_distances([(rec.x, rec.y) for rec in vault.records],
+                           [(m.x, m.y) for m in template.minutiae])
+    ris, mis = np.nonzero(d2 <= tau * tau)
+    order = np.lexsort((mis, ris, d2[ris, mis]))
     used_r: set[int] = set()
     used_m: set[int] = set()
     pairs = []
-    for _, ri, mi in scored:
+    for ri, mi in zip(ris[order].tolist(), mis[order].tolist()):
         if ri in used_r or mi in used_m:
             continue
         used_r.add(ri)

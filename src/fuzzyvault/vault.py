@@ -14,9 +14,11 @@ import random
 import sys
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .coding import Secret, encode_secret
 from .field import DEFAULT_Q, PrimeField, is_prime
-from .geometry import HexLattice, PlacementError, PointGrid
+from .geometry import HexLattice, PlacementError, PointGrid, squared_distances
 from .quiz import QuizParams, encode_point, random_grid_beta
 from .seeds import as_rng, substream
 from .simulate import Minutia, Template, template_from_dict, template_to_dict
@@ -246,13 +248,12 @@ def lock_polynomial(
     chaff_rng = substream(seed, "chaff")
     if params.grid == GRID_RANDOM:
         coords = [(rec.x, rec.y) for rec in genuine]
-        for i, (x1, y1) in enumerate(coords):
-            for x2, y2 in coords[i + 1 :]:
-                if (x1 - x2) ** 2 + (y1 - y2) ** 2 < params.d**2:
-                    raise ValueError(
-                        f"locking minutiae ({x1},{y1}) and ({x2},{y2}) are closer "
-                        f"than d={params.d}"
-                    )
+        close = np.argwhere(np.triu(squared_distances(coords, coords) < params.d**2, 1))
+        if len(close):
+            (x1, y1), (x2, y2) = (coords[i] for i in close[0])
+            raise ValueError(
+                f"locking minutiae ({x1},{y1}) and ({x2},{y2}) are closer than d={params.d}"
+            )
         chaff = gen_chaff_random(
             coords, params.r, params.d, params.width, params.height,
             coeffs, params.q, chaff_rng,

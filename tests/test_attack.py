@@ -9,7 +9,9 @@ from fuzzyvault import (
     PrimeField,
     Secret,
     VaultIndex,
+    Vault,
     VaultParams,
+    VaultRecord,
     brute_force_attack,
     correlate_vaults,
     count_matching_polynomials,
@@ -235,3 +237,12 @@ class TestCorrelation:
     def test_requires_a_vault(self):
         with pytest.raises(ValueError):
             correlate_vaults([], 1.0)
+
+    def test_point_exactly_eps_away_survives(self):
+        def vault(*points):
+            return Vault(F.q, 1, 11.0, "random", 0,
+                         tuple(VaultRecord(x, y, 0) for x, y in points))
+
+        va, vb = vault((0, 0), (100, 100)), vault((3, 4), (200, 200))
+        assert correlate_vaults([va, vb], 5.0) == [(0, 0)]  # distance exactly 5
+        assert correlate_vaults([va, vb], 4.99) == []

@@ -159,10 +159,15 @@ class TestNegativeValues:
         (["attack", "--exhaustive", "--budget", "-5"], "budget=-5 is negative"),
         (["sweep", "--r", "30", "--t", "8", "--k", "3", "--empirical-runs", "-2"],
          "empirical_runs=-2 is negative"),
+        (["correlate", "--eps", "-3"], "eps=-3.0 is not a number >= 0"),
+        (["correlate", "--eps", "nan"], "eps=nan is not a number >= 0"),
     ], ids=["unlock-tau", "unlock-tau-nan", "unlock-budget", "attack-budget",
-            "exhaustive-budget", "sweep-runs"])
+            "exhaustive-budget", "sweep-runs", "correlate-eps", "correlate-eps-nan"])
     def test_negative_value_is_a_parameter_error(self, workdir, argv, message):
-        if argv[0] != "sweep":  # sweep without --seed: no seed line before the error
+        # sweep gets no --seed, so no seed line precedes the error
+        if argv[0] == "correlate":
+            argv = argv + ["--vaults", str(workdir / "vault.json"), str(workdir / "vault.json")]
+        if argv[0] in ("attack", "unlock"):
             argv = argv + ["--vault", str(workdir / "vault.json"), "--D", "9", "--bits", "64",
                            "--seed", "1"]
         if argv[0] == "unlock":

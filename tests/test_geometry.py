@@ -3,7 +3,13 @@ import random
 
 import pytest
 
-from fuzzyvault.geometry import HexLattice, PlacementError, PointGrid, SnappingError
+from fuzzyvault.geometry import (
+    HexLattice,
+    PlacementError,
+    PointGrid,
+    SnappingError,
+    squared_distances,
+)
 
 
 class TestPointGrid:
@@ -17,12 +23,15 @@ class TestPointGrid:
             qx, qy = rng.uniform(0, 100), rng.uniform(0, 100)
             dmin = min(math.hypot(px - qx, py - qy) for px, py in pts)
             assert grid.too_close(qx, qy, 6.5) == (dmin < 6.5)
-            assert grid.any_within(qx, qy, 6.5) == (dmin <= 6.5)
+            d2 = squared_distances([(qx, qy)], pts)
+            assert d2.shape == (1, len(pts))
+            for (px, py), got in zip(pts, d2[0]):
+                assert abs(math.sqrt(got) - math.hypot(px - qx, py - qy)) < 1e-9
 
     def test_inclusive_vs_exclusive_boundary(self):
+        # the inclusive side (distance exactly eps) is in TestCorrelation
         grid = PointGrid(5.0)
         grid.add(0.0, 0.0)
-        assert grid.any_within(3.0, 4.0, 5.0)      # distance exactly 5
         assert not grid.too_close(3.0, 4.0, 5.0)   # strict
 
 

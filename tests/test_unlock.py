@@ -9,8 +9,11 @@ from fuzzyvault import (
     RecaptureModel,
     Secret,
     Template,
+    UnlockingSet,
+    Vault,
     VaultIndex,
     VaultParams,
+    VaultRecord,
     build_unlocking_set,
     gen_template,
     lock,
@@ -67,6 +70,72 @@ class TestMatching:
             uset = build_unlocking_set(vault, fresh, tau=vault.d / 2)
             coverage.append(len(genuine & {ri for ri, _ in uset.pairs}) / truth.t)
         assert statistics.mean(coverage) >= 0.85
+
+
+def greedy_match_oracle(vault, template, tau):
+    """Pure-Python greedy matcher: sort the pairs within tau by (squared
+    distance, record index, minutia index) and keep each pair whose record
+    and minutia are both still free."""
+    tau2 = tau * tau
+    scored = []
+    for ri, rec in enumerate(vault.records):
+        for mi, m in enumerate(template.minutiae):
+            d2 = (rec.x - m.x) ** 2 + (rec.y - m.y) ** 2
+            if d2 <= tau2:
+                scored.append((d2, ri, mi))
+    scored.sort()
+    used_r: set[int] = set()
+    used_m: set[int] = set()
+    pairs = []
+    for _, ri, mi in scored:
+        if ri in used_r or mi in used_m:
+            continue
+        used_r.add(ri)
+        used_m.add(mi)
+        pairs.append((ri, template.minutiae[mi]))
+    pairs.sort()
+    return UnlockingSet(tuple(pairs), tau)
+
+
+def hand_vault(*points):
+    return Vault(F.q, 1, 11.0, "random", 0, tuple(VaultRecord(x, y, 0) for x, y in points))
+
+
+def hand_template(*points):
+    return Template(tuple(Minutia(x, y, 0.5) for x, y in points), 256, 256)
+
+
+class TestMatchingOracle:
+    @pytest.mark.parametrize("grid", ["random", "hex"])
+    def test_matches_greedy_oracle_on_recaptures(self, grid):
+        model = RecaptureModel(jitter_sigma=3.0, miss_rate=0.2, spurious_rate=6.0,
+                               angle_sigma=0.0)
+        for seed in range(6):
+            tpl = gen_template(25, seed=100 + seed)
+            params = VaultParams(k=6, t=20, r=120 if grid == "random" else 0, grid=grid)
+            vault, _ = lock(tpl, Secret.random(64, random.Random(seed)), params, seed=seed)
+            for rs in range(3):
+                fresh = recapture(tpl, model, seed=10 * seed + rs)
+                for tau in (0.0, 2.0, 3.0, vault.d / 2, 7.9, 12.0, 30.0):
+                    assert build_unlocking_set(vault, fresh, tau) == \
+                        greedy_match_oracle(vault, fresh, tau)
+
+    @pytest.mark.parametrize("records, minutiae, tau, expected", [
+        # a minutia equidistant from two records goes to the lower record index
+        (((20, 10), (10, 10)), ((15, 10),), 6.0, [(0, (15, 10))]),
+        # a record equidistant from two minutiae takes the lower minutia index
+        (((50, 50),), ((53, 50), (47, 50)), 6.0, [(0, (53, 50))]),
+        # a pair at exactly tau is kept, and dropped just below it
+        (((100, 100),), ((103, 104),), 5.0, [(0, (103, 104))]),
+        (((100, 100),), ((103, 104),), 4.999, []),
+        # greedy, not a largest matching: the closest pair blocks the other two
+        (((0, 0), (5, 0)), ((3, 0), (9, 0)), 5.0, [(1, (3, 0))]),
+    ], ids=["minutia-tie", "record-tie", "at-tau", "below-tau", "greedy"])
+    def test_tie_order(self, records, minutiae, tau, expected):
+        vault, tpl = hand_vault(*records), hand_template(*minutiae)
+        uset = build_unlocking_set(vault, tpl, tau)
+        assert [(ri, (m.x, m.y)) for ri, m in uset.pairs] == expected
+        assert uset == greedy_match_oracle(vault, tpl, tau)
 
 
 class TestConsensusDecode:

@@ -160,6 +160,23 @@ class TestLock:
         with pytest.raises(ValueError):
             lock(crowded, secret, params, seed=1)
 
+    def test_first_close_pair_in_selection_order_is_reported(self):
+        from fuzzyvault.simulate import Minutia, Template
+
+        base = gen_template(13, d_min=20.0, seed=33)
+        crowded = Template(
+            base.minutiae + (Minutia(10, 10, 0.1), Minutia(13, 10, 0.2),
+                             Minutia(200, 200, 0.3), Minutia(203, 204, 0.4)),
+            base.width, base.height,
+        )
+        params = VaultParams(k=6, t=17, r=60, d=11.0)
+        secret = Secret.random(64, random.Random(5))
+        # seed 9 selects (203,204) 2nd, (13,10) 3rd, (10,10) 10th and
+        # (200,200) 16th: the pair (i, j) with the smallest i is named, i first,
+        # although the other pair is complete by the 10th minutia
+        with pytest.raises(ValueError, match=r"\(203,204\) and \(200,200\) are closer"):
+            lock(crowded, secret, params, seed=9)
+
     def test_uludag_preset_builds(self):
         preset = get_preset("uludag")
         tpl = gen_template(30, seed=21)
