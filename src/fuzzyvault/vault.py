@@ -248,9 +248,9 @@ def lock_polynomial(
     chaff_rng = substream(seed, "chaff")
     if params.grid == GRID_RANDOM:
         coords = [(rec.x, rec.y) for rec in genuine]
-        close = np.argwhere(np.triu(squared_distances(coords, coords) < params.d**2, 1))
-        if len(close):
-            (x1, y1), (x2, y2) = (coords[i] for i in close[0])
+        close = squared_distances(coords, coords) < params.d**2
+        if np.count_nonzero(close) > len(coords):  # more than the diagonal
+            (x1, y1), (x2, y2) = (coords[i] for i in np.argwhere(np.triu(close, 1))[0])
             raise ValueError(
                 f"locking minutiae ({x1},{y1}) and ({x2},{y2}) are closer than d={params.d}"
             )
