@@ -18,10 +18,10 @@ did not match to a minutia.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import os
-import random
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
@@ -248,12 +248,19 @@ def search(index: VaultIndex, points, subsets, D: int | None = None, crc=None,
 
 def _chunk_subsets(n: int, k: int, label: str, chunk: int, budget: int, chunks: range):
     """The k-subsets of range(n) drawn by the chunks numbered ``chunks``:
-    min(chunk, budget - i * chunk) from ``random.Random(f"{label}{i}")``."""
-    population = range(n)
+    the first min(chunk, budget - i * chunk) rows of chunk i's full draw, so
+    a smaller budget's stream is a prefix of a larger one's.  Chunk i draws
+    once from a PCG64 generator seeded with the SHA-256 of f"{label}{i}",
+    all rows at once by Floyd's algorithm (Bentley & Floyd, CACM 1987):
+    column c is uniform on [0, n-k+c] and takes n-k+c where it repeats an
+    earlier column, so every k-subset is equally likely."""
     for i in chunks:
-        rng = random.Random(f"{label}{i}")
-        for _ in range(min(chunk, budget - i * chunk)):
-            yield rng.sample(population, k)
+        seed = int.from_bytes(hashlib.sha256(f"{label}{i}".encode()).digest(), "little")
+        draw = np.random.Generator(np.random.PCG64(seed)).integers(
+            0, np.arange(n - k + 1, n + 1)[:, None], size=(k, chunk))
+        for c in range(1, k):
+            draw[c][(draw[:c] == draw[c]).any(axis=0)] = n - k + c
+        yield from draw[:, :min(chunk, budget - i * chunk)].T.tolist()
 
 
 # Worker-side state for the process pool, installed once per process.
