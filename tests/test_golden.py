@@ -97,16 +97,16 @@ def unlock_exhausted(seed, workers=1):
 GOLDEN = [
     (attack_small, 3, {},
      '{"success": true, "secret_hex": "97b750923ceb3ffd",'
-     ' "trials": 1610, "interpolations": 1610, "point_checks": 86940, "seed": 3}'),
+     ' "trials": 1042, "interpolations": 1042, "point_checks": 56268, "seed": 3}'),
     (attack_small, 8, {},
      '{"success": true, "secret_hex": "5ed34fe53a096533",'
-     ' "trials": 583, "interpolations": 583, "point_checks": 31482, "seed": 8}'),
+     ' "trials": 17978, "interpolations": 17978, "point_checks": 970812, "seed": 8}'),
     (attack_quiz, 4, {},
      '{"success": true, "secret_hex": "4d3c6da5d7",'
-     ' "trials": 81, "interpolations": 5141, "point_checks": 138969, "seed": 4}'),
+     ' "trials": 83, "interpolations": 5287, "point_checks": 142911, "seed": 4}'),
     (attack_quiz, 12, {},
      '{"success": true, "secret_hex": "44797d76de",'
-     ' "trials": 30, "interpolations": 1860, "point_checks": 50382, "seed": 12}'),
+     ' "trials": 38, "interpolations": 2370, "point_checks": 64152, "seed": 12}'),
     (attack_crc_budget, 5, {},
      '{"success": false,'
      ' "trials": 1500, "interpolations": 1500, "point_checks": 0, "seed": 5}'),
@@ -124,10 +124,10 @@ GOLDEN = [
      ' "candidates": 1, "interpolations": 1, "seed": 7}'),
     (unlock_threshold, 10, {},
      '{"success": true, "secret_hex": "7b896dcbac5008577eb1924770d3",'
-     ' "candidates": 3, "interpolations": 3, "seed": 10}'),
+     ' "candidates": 5, "interpolations": 5, "seed": 10}'),
     (unlock_crc, 5, {},
      '{"success": true, "secret_hex": "5bc8bde5c0994164d8399f767c45",'
-     ' "candidates": 6, "interpolations": 6, "seed": 5}'),
+     ' "candidates": 7, "interpolations": 7, "seed": 5}'),
     (unlock_quiz, 4, {},
      '{"success": true, "secret_hex": "4d3c6da5d7",'
      ' "candidates": 1, "interpolations": 1, "seed": 4}'),
