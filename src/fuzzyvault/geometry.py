@@ -11,6 +11,9 @@ from .seeds import as_rng
 
 # Draws per point before rejection sampling gives up on a saturated frame.
 MAX_PLACEMENT_TRIES = 10_000
+# Bound on len(a) * len(b) for squared_distances, two float64 arrays of 64
+# MiB; correlating two hex vaults at d = 7.5 takes about 1.8M pairs.
+MAX_PAIRS = 2**23
 
 
 class PlacementError(RuntimeError):
@@ -27,12 +30,18 @@ class SnappingError(RuntimeError):
 
 def squared_distances(a, b) -> np.ndarray:
     """The (len(a), len(b)) float64 array of squared distances from each
-    (x, y) point of a to each of b; exact for integer coordinates below 2**26."""
+    (x, y) point of a to each of b; exact for integer coordinates below 2**26.
+    Raises ValueError above MAX_PAIRS pairs, before allocating them."""
     a = np.asarray(a, dtype=np.float64).reshape(-1, 2)
     b = np.asarray(b, dtype=np.float64).reshape(-1, 2)
-    dx = a[:, 0, None] - b[:, 0]
+    if len(a) * len(b) > MAX_PAIRS:
+        raise ValueError(f"{len(a)} x {len(b)} point pairs exceed the bound of {MAX_PAIRS}")
+    d2 = a[:, 0, None] - b[:, 0]
+    d2 *= d2
     dy = a[:, 1, None] - b[:, 1]
-    return dx * dx + dy * dy
+    dy *= dy
+    d2 += dy
+    return d2
 
 
 class PointGrid:

@@ -343,8 +343,9 @@ def vault_from_json(text: str) -> Vault:
     """Parse a vault file.  Raises VaultFormatError unless the JSON types are
     right (a bool is not an int), q is a prime below 2**31, d is a finite
     number above 0, the grid kind is known, 1 <= k <= r, every point has
-    0 <= y < 2**coord_shift(q), x >= 0, an abscissa x || y below q and
-    0 <= Y < q, and points carry a finite beta iff quiz_n > 0."""
+    0 <= y < 2**coord_shift(q), x >= 0, an abscissa x || y below q that no
+    other point shares and 0 <= Y < q, and points carry a finite beta iff
+    quiz_n > 0."""
     obj = json.loads(text)
     head = ("q", "k", "d", "grid", "quiz_n", "points")
     q, k, d, grid, quiz_n, points = map(obj.get, head) if type(obj) is dict else [None] * 6
@@ -362,7 +363,7 @@ def vault_from_json(text: str) -> Vault:
         raise VaultFormatError(f"vault k={k} is outside 1..r={len(points)}")
     beta_kinds = (int, float) if quiz_n else (type(None),)
     shift = coord_shift(q)
-    records = []
+    records, seen = [], set()
     for p in points:
         get = p.get if type(p) is dict else {}.get
         x, y, Y, beta = get("x"), get("y"), get("Y"), get("beta")
@@ -373,6 +374,9 @@ def vault_from_json(text: str) -> Vault:
         if not (0 <= y < 1 << shift and x >= 0 and concat_coord(x, y, shift) < q):
             raise VaultFormatError(f"vault point {p!r:.60} needs 0 <= y < 2**{shift}, x >= 0 "
                                    f"and an abscissa x || y below q={q}")
+        if (x, y) in seen:
+            raise VaultFormatError(f"two vault points share an abscissa x || y: {p!r:.60}")
+        seen.add((x, y))
         records.append(VaultRecord(x, y, Y, beta))
     return Vault(q, k, d, grid, quiz_n, tuple(records))
 

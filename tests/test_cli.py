@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import resource
 import subprocess
 import sys
@@ -600,3 +601,37 @@ class TestDuplicateAbscissae:
             assert r.stderr.startswith("error:") and "abscissa" in r.stderr
             assert len(r.stderr.splitlines()) == 1
             assert r.stdout == ""
+
+    @pytest.mark.parametrize("command", ["correlate", "spurious"])
+    def test_every_vault_reader_exits_2(self, workdir, command):
+        for path in self._variants(workdir):
+            argv = (["correlate", "--vaults", str(path), str(workdir / "vault.json"), "--eps", "3"]
+                    if command == "correlate" else ["spurious", "--vault", str(path), "--t-hits", "4"])
+            r = run(argv)
+            assert r.returncode == 2
+            assert r.stderr.startswith("error:") and "abscissa" in r.stderr
+            assert len(r.stderr.splitlines()) == 1
+            assert r.stdout == ""
+
+
+def test_correlate_of_oversized_vaults_is_refused_before_allocating(workdir):
+    # 6000 x 6000 point pairs: several float64 arrays of 275 MiB would not
+    # fit under an 800 MB address-space cap on the child process
+    paths = []
+    for seed in (1, 2):
+        rng = random.Random(seed)
+        points = [{"x": X >> 8, "y": X & 255, "Y": rng.randrange(65537)}
+                  for X in rng.sample(range(65536), 6000)]
+        path = workdir / f"big_{seed}.json"
+        path.write_text(json.dumps({"q": 65537, "k": 6, "d": 11.0, "grid": "random",
+                                    "quiz_n": 0, "points": points}))
+        paths.append(str(path))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (800 * 2**20, 800 * 2**20))
+
+    r = run(["correlate", "--vaults", *paths, "--eps", "3"], preexec_fn=cap, timeout=300)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:") and "point pairs exceed" in r.stderr
+    assert len(r.stderr.splitlines()) == 1
+    assert r.stdout == ""

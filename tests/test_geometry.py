@@ -4,6 +4,7 @@ import random
 import pytest
 
 from fuzzyvault.geometry import (
+    MAX_PAIRS,
     HexLattice,
     PlacementError,
     PointGrid,
@@ -115,3 +116,12 @@ class TestHexLattice:
 def test_placement_error_carries_count():
     err = PlacementError("boom", placed=7)
     assert err.placed == 7
+
+
+def test_squared_distances_refuses_more_than_max_pairs():
+    a = [(0, 0)] * 4096
+    assert 4096 * 2048 == MAX_PAIRS
+    with pytest.raises(ValueError, match="4096 x 2049 point pairs exceed"):
+        squared_distances(a, [(1, 1)] * 2049)
+    # a hex vault at d = 7.5 has about 1,330 sites; two of them fit
+    assert squared_distances(a[:1400], [(3, 4)] * 1400).max() == 25
