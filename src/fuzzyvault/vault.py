@@ -363,7 +363,7 @@ def vault_from_json(text: str) -> Vault:
         raise VaultFormatError(f"vault k={k} is outside 1..r={len(points)}")
     beta_kinds = (int, float) if quiz_n else (type(None),)
     shift = coord_shift(q)
-    records, seen = [], set()
+    records, abscissae = [], set()
     for p in points:
         get = p.get if type(p) is dict else {}.get
         x, y, Y, beta = get("x"), get("y"), get("Y"), get("beta")
@@ -371,13 +371,14 @@ def vault_from_json(text: str) -> Vault:
                 and (beta is None or abs(beta) <= sys.float_info.max)):
             raise VaultFormatError(f"vault point {p!r:.60} needs int x, y and Y in [0, q={q}) "
                                    "and a finite beta if and only if quiz_n > 0")
-        if not (0 <= y < 1 << shift and x >= 0 and concat_coord(x, y, shift) < q):
+        X = concat_coord(x, y, shift)
+        if not (0 <= y < 1 << shift and x >= 0 and X < q):
             raise VaultFormatError(f"vault point {p!r:.60} needs 0 <= y < 2**{shift}, x >= 0 "
                                    f"and an abscissa x || y below q={q}")
-        if (x, y) in seen:
-            raise VaultFormatError(f"two vault points share an abscissa x || y: {p!r:.60}")
-        seen.add((x, y))
+        abscissae.add(X)
         records.append(VaultRecord(x, y, Y, beta))
+    if len(abscissae) < len(records):
+        raise VaultFormatError("two vault points share an abscissa x || y")
     return Vault(q, k, d, grid, quiz_n, tuple(records))
 
 
