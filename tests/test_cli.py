@@ -605,9 +605,11 @@ class TestDuplicateAbscissae:
     @pytest.mark.parametrize("command", ["correlate", "spurious"])
     def test_every_vault_reader_exits_2(self, workdir, command):
         for path in self._variants(workdir):
-            argv = (["correlate", "--vaults", str(path), str(workdir / "vault.json"), "--eps", "3"]
-                    if command == "correlate" else ["spurious", "--vault", str(path), "--t-hits", "4"])
-            r = run(argv)
+            if command == "correlate":
+                r = run(["correlate", "--vaults", str(path), str(workdir / "vault.json"),
+                         "--eps", "3"])
+            else:
+                r = run(["spurious", "--vault", str(path), "--t-hits", "4"])
             assert r.returncode == 2
             assert r.stderr.startswith("error:") and "abscissa" in r.stderr
             assert len(r.stderr.splitlines()) == 1
