@@ -18,6 +18,7 @@ did not match to a minutia.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -37,6 +38,9 @@ BATCH_ELEMENTS = 2**14
 # Crossover, measured at q = 65537 and q = 2**31 - 1, below which Python's
 # pow inverts an array faster than numpy exponentiation.
 SMALL_INVERSE = 64
+# Largest q whose inverses come from a per-process table (8 MiB at most);
+# vault files allow q up to 2**31, where the Fermat loop stays.
+INVERSE_TABLE_Q = 2**20
 # Bound on n**k * max(r, k*k), the int64 elements one subset's quiz sweep
 # needs at once (128 MiB); the attack refuses a larger sweep before searching.
 SWEEP_ELEMENTS = 2**24
@@ -124,13 +128,8 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
-def _inverse(a: np.ndarray, q: int) -> np.ndarray:
-    """Elementwise a**(q-2) mod q (Fermat), for nonzero a in [0, q).  The
-    numpy loop costs about 2*log2(q) passes whatever the size, so arrays of
-    up to SMALL_INVERSE elements go through Python's pow instead."""
-    if a.size <= SMALL_INVERSE:
-        return np.array([pow(v, q - 2, q) for v in a.ravel().tolist()],
-                        dtype=np.int64).reshape(a.shape)
+def _fermat(a: np.ndarray, q: int) -> np.ndarray:
+    """Elementwise a**(q-2) mod q, about 2*log2(q) numpy passes."""
     out = np.ones_like(a)
     base = a.copy()
     e = q - 2
@@ -145,16 +144,42 @@ def _inverse(a: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _inverse_table(q: int) -> np.ndarray:
+    """Read-only array whose entry a is the inverse of a mod q, a != 0."""
+    table = _fermat(np.arange(q, dtype=np.int64), q)
+    table.flags.writeable = False
+    return table
+
+
+def _inverse(a: np.ndarray, q: int) -> np.ndarray:
+    """Elementwise inverse mod q of nonzero a in [0, q).  Arrays of at most
+    SMALL_INVERSE elements go through Python's pow.  Larger ones are looked
+    up in ``_inverse_table`` when q <= INVERSE_TABLE_Q; the table is built
+    once per process (about 10 ms and 512 KiB at q = 65537, 8 MiB at the
+    bound), and ``search_pool`` builds it before forking so that its workers
+    share it.  Above the bound (vault files allow q < 2**31) the numpy Fermat
+    loop runs, about 2*log2(q) passes whatever the size."""
+    if a.size <= SMALL_INVERSE:
+        return np.array([pow(v, q - 2, q) for v in a.ravel().tolist()],
+                        dtype=np.int64).reshape(a.shape)
+    if q <= INVERSE_TABLE_Q:
+        return _inverse_table(q).take(a)
+    return _fermat(a, q)
+
+
 def interpolate(xs: np.ndarray, ys: np.ndarray, q: int) -> np.ndarray:
     """Coefficients (rows, sets, k), constant first, of the polynomials
     through the points (xs[b], ys[b, a]) for each row b of ``xs`` (rows, k),
     distinct values in [0, q), and each ordinate set a of ``ys``
-    (rows, sets, k) in [0, q).  Lagrange form: basis[b, i, j] is the X**j
-    coefficient of the basis polynomial L_i of row b."""
+    (rows, sets, k) in [0, q).  Lagrange form, with 1/denominator folded
+    into the ordinates: coefficient j of row b, set a is the sum over i of
+    ys[b, a, i] / prod_{m != i} (x_i - x_m) times the X**j coefficient of
+    prod_{m != i} (X - x_m)."""
     rows, k = xs.shape
-    # denominators prod_{j != i} (x_i - x_j)
+    # denominators prod_{j != i} (x_i - x_j); the differences stay in
+    # (-q, q), since each product is reduced and stays below q**2 < 2**62
     diff = xs[:, :, None] - xs[:, None, :]
-    diff %= q
     diff.reshape(rows, k * k)[:, :: k + 1] = 1
     cols = diff.transpose(2, 0, 1)
     denom = cols[0].copy()
@@ -178,10 +203,8 @@ def interpolate(xs: np.ndarray, ys: np.ndarray, q: int) -> np.ndarray:
         step = xs * numer[j]
         step += root_t[j]
         np.remainder(step, q, out=numer[j - 1])
-    basis = numer.transpose(1, 2, 0)
-    basis *= _inverse(denom, q)[:, :, None]
-    basis %= q
-    return matmul_mod(ys, basis.astype(np.float64), q).astype(np.int64)
+    weights = ys * _inverse(denom, q)[:, None, :] % q
+    return matmul_mod(weights, numer.transpose(1, 2, 0).astype(np.float64), q).astype(np.int64)
 
 
 def stop_rule(vault: Vault, mode: str, D: int | None, bits: int | None, crc) -> dict:
@@ -291,6 +314,8 @@ def search_pool(index: VaultIndex, points, budget: int, chunk: int, label: str, 
     workers = min(workers, n_chunks, os.cpu_count() or 1)
     if workers <= 1:
         return search(index, points, _chunk_subsets(*stream, range(n_chunks)), **rule)
+    if index.q <= INVERSE_TABLE_Q:
+        _inverse_table(index.q)  # built once here, shared by the forked workers
     found, totals = None, [0, 0, 0]
     window, submitted = deque(), 0
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,

@@ -27,13 +27,16 @@ from fuzzyvault import (
 )
 from fuzzyvault import consensus
 from fuzzyvault.consensus import (
+    INVERSE_TABLE_Q,
     SMALL_INVERSE,
     _chunk_subsets,
     _inverse,
+    _inverse_table,
     interpolate,
     matmul_mod,
     search,
 )
+from fuzzyvault.field import is_prime
 from fuzzyvault.vault import Vault, VaultRecord, coord_shift
 
 # matmul_mod splits its left operand into limbs of the widest width w with
@@ -84,11 +87,12 @@ def test_matmul_mod_corrects_an_off_by_one_float_quotient(q, v):
 
 
 @st.composite
-def point_rows(draw):
-    """(q, xs (rows, k) distinct per row, ys (rows, sets, k))."""
+def point_rows(draw, more_than=0):
+    """(q, xs (rows, k) distinct per row, ys (rows, sets, k)), with 1 to 3
+    rows, or 1 to 8 rows beyond the first whose rows * k exceed ``more_than``."""
     q = draw(st.sampled_from(MODULI))
     k = draw(st.integers(1, min(q, 24)))
-    rows = draw(st.integers(1, 3))
+    rows = more_than // k + draw(st.integers(1, 8 if more_than else 3))
     sets = draw(st.integers(1, 3))
     element = st.integers(0, q - 1)
     xs = [draw(st.lists(element, min_size=k, max_size=k, unique=True)) for _ in range(rows)]
@@ -96,8 +100,10 @@ def point_rows(draw):
     return q, np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64).reshape(rows, sets, k)
 
 
-@given(point_rows())
+@given(st.one_of(point_rows(), point_rows(more_than=SMALL_INVERSE)))
 def test_batched_interpolation_matches_field_oracle(case):
+    # above SMALL_INVERSE denominators the inverses come from the table for
+    # q <= INVERSE_TABLE_Q and from the numpy Fermat loop for 2**24 - 3 up
     q, xs, ys = case
     field = PrimeField(q)
     coeffs = interpolate(xs, ys, q)
@@ -112,6 +118,24 @@ def test_batched_interpolation_matches_field_oracle(case):
 def test_inverse_on_both_sides_of_the_python_crossover(q, size):
     a = np.random.default_rng(size).integers(1, q, size=size, endpoint=False, dtype=np.int64)
     assert np.all(a * _inverse(a, q) % q == 1)
+
+
+def test_inverse_table_inverts_every_residue():
+    q = 65537
+    a = np.arange(1, q, dtype=np.int64)
+    assert np.all(a * _inverse_table(q)[1:] % q == 1)
+
+
+@pytest.mark.parametrize("q, table", [(1048573, True), (1048583, False)])
+def test_inverse_uses_the_table_up_to_its_bound(q, table, monkeypatch):
+    # the largest prime at most INVERSE_TABLE_Q and the smallest above it
+    assert is_prime(q) and (q <= INVERSE_TABLE_Q) == table
+    assert not any(map(is_prime, range(min(q, INVERSE_TABLE_Q) + 1, max(q, INVERSE_TABLE_Q))))
+    built = []
+    monkeypatch.setattr(consensus, "_inverse_table", lambda m: built.append(m) or _inverse_table(m))
+    a = np.random.default_rng(q).integers(1, q, size=SMALL_INVERSE + 1, dtype=np.int64)
+    assert np.all(a * _inverse(a, q) % q == 1)
+    assert built == ([q] if table else [])
 
 
 def _vault(q, abscissae, ordinates, quiz_n):
@@ -256,6 +280,27 @@ def test_every_worker_count_searches_one_chunk_stream(quiz_n, budget):
         got = consensus.search_pool(index, None, budget, chunk, label, workers, D=6, crc=None,
                                     sweep=bool(quiz_n))
         assert got == want
+
+
+@pytest.mark.parametrize("budget", [3000, 400])
+def test_every_worker_count_agrees_where_batches_use_the_inverse_table(budget):
+    # k = 6 and 40-subset chunks: batches grow to 16 rows, 96 denominators,
+    # past SMALL_INVERSE; the stream succeeds in chunk 17 at budget 3000
+    tpl = gen_template(15, seed=6)
+    vault, _ = lock(tpl, Secret.random(64, random.Random(6)), VaultParams(k=6, t=15, r=40),
+                    seed=6)
+    index = VaultIndex(vault)
+    label, chunk = "6/attack-chunk", 40
+    stream = []
+    for i in range(math.ceil(budget / chunk)):
+        stream += _floyd_rows(index.r, index.k, label, chunk, i)[:budget - i * chunk]
+    want = _oracle_search(index, stream, 9, False)
+    for workers in (1, 2, 3):
+        _inverse_table.cache_clear()
+        got = consensus.search_pool(index, None, budget, chunk, label, workers, D=9, crc=None)
+        assert got == want
+        # built in this process, before any pool forks its workers
+        assert _inverse_table.cache_info().currsize == 1
 
 
 def _with_points(vault, points):
