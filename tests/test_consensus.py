@@ -100,17 +100,25 @@ def point_rows(draw, more_than=0):
     return q, np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64).reshape(rows, sets, k)
 
 
-@given(st.one_of(point_rows(), point_rows(more_than=SMALL_INVERSE)))
-def test_batched_interpolation_matches_field_oracle(case):
-    # above SMALL_INVERSE denominators the inverses come from the table for
-    # q <= INVERSE_TABLE_Q and from the numpy Fermat loop for 2**24 - 3 up
-    q, xs, ys = case
+def _matches_field_oracle(q, xs, ys):
     field = PrimeField(q)
     coeffs = interpolate(xs, ys, q)
     for b in range(xs.shape[0]):
         for a in range(ys.shape[1]):
             expected = field.interpolate(list(zip(xs[b].tolist(), ys[b, a].tolist())))
             assert tuple(coeffs[b, a].tolist()) == expected
+
+
+@given(point_rows())
+def test_batched_interpolation_matches_field_oracle(case):
+    _matches_field_oracle(*case)
+
+
+@given(point_rows(more_than=SMALL_INVERSE))
+def test_batched_interpolation_above_the_python_crossover_matches_field_oracle(case):
+    # the inverses come from the table for q <= INVERSE_TABLE_Q and from the
+    # numpy Fermat loop for q >= 2**24 - 3
+    _matches_field_oracle(*case)
 
 
 @pytest.mark.parametrize("q", MODULI)
@@ -285,7 +293,7 @@ def test_every_worker_count_searches_one_chunk_stream(quiz_n, budget):
 @pytest.mark.parametrize("budget", [3000, 400])
 def test_every_worker_count_agrees_where_batches_use_the_inverse_table(budget):
     # k = 6 and 40-subset chunks: batches grow to 16 rows, 96 denominators,
-    # past SMALL_INVERSE; the stream succeeds in chunk 17 at budget 3000
+    # past SMALL_INVERSE; the stream succeeds at trial 654 of budget 3000
     tpl = gen_template(15, seed=6)
     vault, _ = lock(tpl, Secret.random(64, random.Random(6)), VaultParams(k=6, t=15, r=40),
                     seed=6)
