@@ -38,9 +38,10 @@ BATCH_ELEMENTS = 2**14
 # Crossover, measured at q = 65537 and q = 2**31 - 1, below which Python's
 # pow inverts an array faster than numpy exponentiation.
 SMALL_INVERSE = 64
-# Largest q whose inverses come from a per-process table (8 MiB at most);
-# vault files allow q up to 2**31, where the Fermat loop stays.
-INVERSE_TABLE_Q = 2**20
+# Largest q whose inverses come from a per-process table (1 MiB at most).
+# It covers q = 65537, the modulus of every preset; vault files allow q up
+# to 2**31, where the Fermat loop stays.
+INVERSE_TABLE_Q = 2**17
 # Bound on n**k * max(r, k*k), the int64 elements one subset's quiz sweep
 # needs at once (128 MiB); the attack refuses a larger sweep before searching.
 SWEEP_ELEMENTS = 2**24
@@ -128,8 +129,53 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
-def _fermat(a: np.ndarray, q: int) -> np.ndarray:
-    """Elementwise a**(q-2) mod q, about 2*log2(q) numpy passes."""
+def _primitive_root(q: int) -> int:
+    """Least generator of the multiplicative group mod the prime q."""
+    factors, m, p = [], q - 1, 2
+    while p * p <= m:
+        if m % p == 0:
+            factors.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        factors.append(m)
+    return next(g for g in range(1, q) if all(pow(g, (q - 1) // p, q) != 1 for p in factors))
+
+
+@functools.cache
+def _inverse_table(q: int) -> np.ndarray:
+    """Read-only array whose entry a is the inverse of a mod q, a != 0.  The
+    powers g**i of a primitive root g run over every nonzero residue, and
+    the inverse of g**i is g**(q-1-i).  Doubling builds them in about log2(q)
+    numpy passes and q products (about 2 ms at q = 65537)."""
+    g = _primitive_root(q)
+    powers = np.ones(q - 1, dtype=np.int64)
+    n = 1
+    while n < q - 1:
+        m = min(n, q - 1 - n)
+        np.multiply(powers[:m], pow(g, n, q), out=powers[n:n + m])
+        powers[n:n + m] %= q
+        n += m
+    table = np.zeros(q, dtype=np.int64)
+    table[1] = 1
+    table[powers[1:]] = powers[:0:-1]
+    table.flags.writeable = False
+    return table
+
+
+def _inverse(a: np.ndarray, q: int) -> np.ndarray:
+    """Elementwise inverse mod q of nonzero a in [0, q).  Arrays of at most
+    SMALL_INVERSE elements go through Python's pow.  Larger ones are looked
+    up in ``_inverse_table`` when q <= INVERSE_TABLE_Q; each process builds
+    the table at its first such array (512 KiB at q = 65537).  Above the
+    bound (vault files allow q < 2**31) a numpy loop raises a to q-2 (Fermat),
+    about 2*log2(q) passes whatever the size."""
+    if a.size <= SMALL_INVERSE:
+        return np.array([pow(v, q - 2, q) for v in a.ravel().tolist()],
+                        dtype=np.int64).reshape(a.shape)
+    if q <= INVERSE_TABLE_Q:
+        return _inverse_table(q).take(a)
     out = np.ones_like(a)
     base = a.copy()
     e = q - 2
@@ -142,30 +188,6 @@ def _fermat(a: np.ndarray, q: int) -> np.ndarray:
             base *= base
             base %= q
     return out
-
-
-@functools.cache
-def _inverse_table(q: int) -> np.ndarray:
-    """Read-only array whose entry a is the inverse of a mod q, a != 0."""
-    table = _fermat(np.arange(q, dtype=np.int64), q)
-    table.flags.writeable = False
-    return table
-
-
-def _inverse(a: np.ndarray, q: int) -> np.ndarray:
-    """Elementwise inverse mod q of nonzero a in [0, q).  Arrays of at most
-    SMALL_INVERSE elements go through Python's pow.  Larger ones are looked
-    up in ``_inverse_table`` when q <= INVERSE_TABLE_Q; the table is built
-    once per process (about 10 ms and 512 KiB at q = 65537, 8 MiB at the
-    bound), and ``search_pool`` builds it before forking so that its workers
-    share it.  Above the bound (vault files allow q < 2**31) the numpy Fermat
-    loop runs, about 2*log2(q) passes whatever the size."""
-    if a.size <= SMALL_INVERSE:
-        return np.array([pow(v, q - 2, q) for v in a.ravel().tolist()],
-                        dtype=np.int64).reshape(a.shape)
-    if q <= INVERSE_TABLE_Q:
-        return _inverse_table(q).take(a)
-    return _fermat(a, q)
 
 
 def interpolate(xs: np.ndarray, ys: np.ndarray, q: int) -> np.ndarray:
@@ -314,8 +336,6 @@ def search_pool(index: VaultIndex, points, budget: int, chunk: int, label: str, 
     workers = min(workers, n_chunks, os.cpu_count() or 1)
     if workers <= 1:
         return search(index, points, _chunk_subsets(*stream, range(n_chunks)), **rule)
-    if index.q <= INVERSE_TABLE_Q:
-        _inverse_table(index.q)  # built once here, shared by the forked workers
     found, totals = None, [0, 0, 0]
     window, submitted = deque(), 0
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,

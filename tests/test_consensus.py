@@ -32,6 +32,7 @@ from fuzzyvault.consensus import (
     _chunk_subsets,
     _inverse,
     _inverse_table,
+    _primitive_root,
     interpolate,
     matmul_mod,
     search,
@@ -128,13 +129,21 @@ def test_inverse_on_both_sides_of_the_python_crossover(q, size):
     assert np.all(a * _inverse(a, q) % q == 1)
 
 
-def test_inverse_table_inverts_every_residue():
-    q = 65537
+def test_primitive_root_is_the_least_generator():
+    # brute force over every prime below 300; q - 1 is a power of two for
+    # most MODULI, where any quadratic non-residue generates
+    for q in filter(is_prime, range(300)):
+        orders = [len({pow(g, i, q) for i in range(q - 1)}) for g in range(1, q)]
+        assert _primitive_root(q) == 1 + orders.index(q - 1)
+
+
+@pytest.mark.parametrize("q", [q for q in MODULI if q <= INVERSE_TABLE_Q] + [131071])
+def test_inverse_table_inverts_every_residue(q):
     a = np.arange(1, q, dtype=np.int64)
     assert np.all(a * _inverse_table(q)[1:] % q == 1)
 
 
-@pytest.mark.parametrize("q, table", [(1048573, True), (1048583, False)])
+@pytest.mark.parametrize("q, table", [(131071, True), (131101, False)])
 def test_inverse_uses_the_table_up_to_its_bound(q, table, monkeypatch):
     # the largest prime at most INVERSE_TABLE_Q and the smallest above it
     assert is_prime(q) and (q <= INVERSE_TABLE_Q) == table
@@ -304,11 +313,8 @@ def test_every_worker_count_agrees_where_batches_use_the_inverse_table(budget):
         stream += _floyd_rows(index.r, index.k, label, chunk, i)[:budget - i * chunk]
     want = _oracle_search(index, stream, 9, False)
     for workers in (1, 2, 3):
-        _inverse_table.cache_clear()
         got = consensus.search_pool(index, None, budget, chunk, label, workers, D=9, crc=None)
         assert got == want
-        # built in this process, before any pool forks its workers
-        assert _inverse_table.cache_info().currsize == 1
 
 
 def _with_points(vault, points):
