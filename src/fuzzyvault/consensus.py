@@ -29,6 +29,7 @@ from functools import partial
 
 import numpy as np
 
+from .coding import capacity_bits, rows_pass_crc
 from .quiz import transform_offsets
 from .vault import Vault, concat_coord, coord_shift
 
@@ -93,22 +94,6 @@ class VaultIndex:
         for quiz vaults).  Records used to build the candidate count too."""
         row = np.asarray(coeffs, dtype=np.int64).reshape(1, -1) % self.q
         return int(self.hits(row)[0])
-
-    def count_hits_python(self, coeffs) -> int:
-        """Pure-Python scan, the oracle for ``hits`` in tests."""
-        q = self.q
-        hits = 0
-        offsets = None if self.offsets is None else frozenset(self.offsets)
-        for x, y in zip(self.xs, self.ys):
-            acc = 0
-            for c in reversed(coeffs):
-                acc = acc * x + c
-            v = acc % q
-            if offsets is None:
-                hits += v == y
-            else:
-                hits += (v - y) % q in offsets
-        return hits
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -229,16 +214,20 @@ def interpolate(xs: np.ndarray, ys: np.ndarray, q: int) -> np.ndarray:
     return matmul_mod(weights, numer.transpose(1, 2, 0).astype(np.float64), q).astype(np.int64)
 
 
-def stop_rule(vault: Vault, mode: str, D: int | None, bits: int | None, crc) -> dict:
+def stop_rule(vault: Vault, mode: str, D: int | None, bits: int | None) -> dict:
     """The ``search`` keywords of a stop rule.  "threshold" accepts at >= D
     vault records on the graph (default D = k+3, at most r); "crc" accepts
-    when ``crc(coeffs, bits=bits)`` holds and needs the secret bit length."""
+    the rows that pass ``rows_pass_crc`` and needs the secret bit length,
+    1 <= bits <= 16*(k-1)."""
     if mode not in ("threshold", "crc"):
         raise ValueError(f"unknown stop rule: {mode!r}")
     if mode == "crc":
         if bits is None:
             raise ValueError("crc mode needs the secret bit length")
-        return dict(D=None, crc=partial(crc, bits=bits))
+        if not 1 <= bits <= capacity_bits(vault.k, True):
+            raise ValueError(f"crc mode carries 1 to {capacity_bits(vault.k, True)} secret "
+                             f"bits at k={vault.k}, not bits={bits}")
+        return dict(D=None, crc=partial(rows_pass_crc, bits=bits))
     if D is None:
         D = vault.k + 3
     if D > vault.r:
@@ -247,16 +236,21 @@ def stop_rule(vault: Vault, mode: str, D: int | None, bits: int | None, crc) -> 
 
 
 def search(index: VaultIndex, points, subsets, D: int | None = None, crc=None,
-           sweep: bool = False):
+           sweep: bool = False, start: int = 0):
     """Try the index tuples ``subsets`` of ``points`` in order until one
     yields an accepted candidate or they run out.  Returns (coeffs or None,
     trials, interpolations, point checks).
 
     ``points``: (xs, ys) int64 arrays, xs distinct and reduced mod q, or
     None for the vault's own records.  The rule is the threshold D on vault
-    hits, or, when ``crc`` is given, the predicate ``crc(coeffs)``.
+    hits, or, when ``crc`` is given, the predicate ``crc(coeffs)`` over the
+    (rows, k) coefficient array.
     ``sweep``: try every subset under all n**k quiz transform assignments,
     in itertools.product order; the caller bounds n**k by SWEEP_ELEMENTS.
+    ``start``: the stream position of the first subset.  The first batch is
+    start + 1 subsets (at most the cap) and each next one twice as many, so
+    a pool chunk late in the stream searches at full batch from its first
+    row, as one search over the whole stream would by then.
     """
     q, k = index.q, index.k
     xs, ys = (index._x, index._y) if points is None else points
@@ -268,7 +262,7 @@ def search(index: VaultIndex, points, subsets, D: int | None = None, crc=None,
     cap = max(1, BATCH_ELEMENTS // (per_trial * max(index.r, k * k)))
     subsets = iter(subsets)
     trials = interps = 0
-    batch = 1
+    batch = min(cap, start + 1)
     found = None
     while found is None:
         chosen = list(itertools.islice(subsets, batch))
@@ -276,15 +270,11 @@ def search(index: VaultIndex, points, subsets, D: int | None = None, crc=None,
             break
         sub = np.array(chosen, dtype=np.intp)
         coeffs = interpolate(xs[sub], (ys[sub][:, None, :] + assignments) % q, q).reshape(-1, k)
-        if crc is None:
-            passed = np.flatnonzero(index.hits(coeffs) >= D)
-            first = int(passed[0]) if len(passed) else -1
-        else:
-            first = next((i for i, row in enumerate(coeffs.tolist()) if crc(tuple(row))), -1)
+        passed = np.flatnonzero(index.hits(coeffs) >= D if crc is None else crc(coeffs))
         used = len(coeffs)
-        if first >= 0:
-            found = tuple(coeffs[first].tolist())
-            used = first + 1
+        if len(passed):
+            found = tuple(coeffs[passed[0]].tolist())
+            used = int(passed[0]) + 1
         interps += used
         trials += -(-used // per_trial)  # subsets with at least one row tried
         batch = min(2 * batch, cap)
@@ -317,8 +307,10 @@ def _init_worker(index: VaultIndex, points, stream: tuple, rule: dict) -> None:
 
 
 def _run_chunk(i: int):
-    subsets = _chunk_subsets(*_WORKER["stream"], range(i, i + 1))
-    return search(_WORKER["index"], _WORKER["points"], subsets, **_WORKER["rule"])
+    n, k, label, chunk, budget = _WORKER["stream"]
+    subsets = _chunk_subsets(n, k, label, chunk, budget, range(i, i + 1))
+    return search(_WORKER["index"], _WORKER["points"], subsets, **_WORKER["rule"],
+                  start=i * chunk)
 
 
 def search_pool(index: VaultIndex, points, budget: int, chunk: int, label: str, workers: int,

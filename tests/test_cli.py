@@ -333,6 +333,18 @@ def _probe(workdir, genuine: int, chaff: int):
     return path
 
 
+def _crc_vault(workdir):
+    """The small-attack vault of the same template and secret, locked with a
+    CRC coefficient (k = 6: at most 80 secret bits)."""
+    path = workdir / "vault_crc.json"
+    if not path.exists():
+        r = run(["lock", "--preset", "small-attack", "--crc", "on",
+                 "--secret-hex", "0011223344556677", "--template", str(workdir / "tpl15.json"),
+                 "--seed", "9", "-o", str(path)])
+        assert r.returncode == 0
+    return path
+
+
 class TestWorkers:
     def _reports(self, workdir, argv, counts=(1, 2, 3), code=0):
         """The report file of ``argv`` for each worker count; all must match
@@ -364,6 +376,14 @@ class TestWorkers:
         ])
         assert obj["secret_hex"] == "0011223344556677" and obj["candidates"] > 64
 
+    def test_crc_report_is_independent_of_worker_count(self, workdir):
+        # success in chunk 10 of 512 trials
+        obj = self._reports(workdir, [
+            "attack", "--vault", str(_crc_vault(workdir)), "--preset", "small-attack",
+            "--mode", "crc", "--bits", "64", "--seed", "6",
+        ])
+        assert obj["secret_hex"] == "0011223344556677" and obj["trials"] == 5323
+
     @pytest.mark.parametrize("command", ["attack", "unlock"])
     def test_budget_exhausted_report_is_independent_of_worker_count(self, workdir, command):
         # D = r accepts no candidate; a budget of 1300 cuts the last chunk short
@@ -374,6 +394,26 @@ class TestWorkers:
         obj = self._reports(workdir, argv, code=3)
         assert obj["success"] is False
         assert obj["trials" if command == "attack" else "candidates"] == 1300
+
+
+class TestCrcBitLength:
+    @pytest.mark.parametrize("bits", [0, 81, 200])
+    @pytest.mark.parametrize("command", ["attack", "unlock"])
+    def test_bits_the_polynomial_cannot_carry_exit_2(self, workdir, command, bits):
+        # the CRC rule would never accept, so the search would spend its
+        # whole budget; it is refused before the search starts
+        out = workdir / f"crc_bits_{command}_{bits}.json"
+        argv = [command, "--vault", str(_crc_vault(workdir)), "--mode", "crc",
+                "--bits", str(bits), "--seed", "1", "-o", str(out)]
+        if command == "attack":
+            argv += ["--preset", "small-attack", "--budget", "4096"]
+        else:
+            argv += ["--template", str(workdir / "tpl15.json")]
+        r = run(argv)
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr.startswith("error:") and len(r.stderr.splitlines()) == 1
+        assert f"crc mode carries 1 to 80 secret bits at k=6, not bits={bits}" in r.stderr
+        assert not out.exists()
 
 
 def _first_point(field, value):

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from fuzzyvault.coding import (
     decode_secret,
     encode_secret,
     min_elements,
+    rows_pass_crc,
 )
 
 
@@ -175,3 +177,41 @@ class TestDecode:
         )
         expected = n / 65536
         assert accepts <= expected + 3 * (expected**0.5) + 1
+
+
+@st.composite
+def crc_rows(draw):
+    """(bits, rows, planted) at k from 2 to 14 and 1 <= bits <= 16*(k-1): uniform rows
+    in [0, q), valid encodings, each with one bit flipped, a data limb set to
+    2**16 or a bit set at or above ``bits``, and a CRC coefficient of 2**16.  ``planted`` indexes the valid rows."""
+    k = draw(st.integers(2, 14))
+    bits = draw(st.integers(1, 16 * (k - 1)))
+    rng = draw(st.randoms(use_true_random=False))
+    rows, planted = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        rows.append([rng.randrange(65537) for _ in range(k)])
+        valid = list(encode_secret(Secret.random(bits, rng), k, crc=True))
+        planted.append(len(rows))
+        rows.append(valid)
+        flipped = list(valid)
+        flipped[rng.randrange(k)] ^= 1 << rng.randrange(16)
+        rows.append(flipped)
+        limb = list(valid)
+        limb[rng.randrange(k - 1)] = 65536
+        rows.append(limb)
+        rows.append(valid[:-1] + [65536])
+        if bits < 16 * (k - 1):
+            high = list(valid)
+            bit = rng.randrange(bits, 16 * (k - 1))
+            high[bit // 16] |= 1 << bit % 16
+            rows.append(high)
+    return bits, rows, planted
+
+
+@given(crc_rows())
+def test_batched_crc_predicate_matches_the_one_row_oracle(case):
+    bits, rows, planted = case
+    got = rows_pass_crc(np.array(rows, dtype=np.int64), bits)
+    assert got.dtype == bool
+    assert got.tolist() == [coeffs_pass_crc(tuple(row), bits) for row in rows]
+    assert got[planted].all()

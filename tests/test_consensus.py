@@ -36,9 +36,12 @@ from fuzzyvault.consensus import (
     interpolate,
     matmul_mod,
     search,
+    stop_rule,
 )
+from fuzzyvault.coding import coeffs_pass_crc
 from fuzzyvault.field import is_prime
 from fuzzyvault.vault import Vault, VaultRecord, coord_shift
+from oracles import count_hits_python
 
 # matmul_mod splits its left operand into limbs of the widest width w with
 # (k+1) * 2**w * q < 2**53.  At k = 24, 2**24 - 3 is the largest prime whose
@@ -191,7 +194,7 @@ def test_batched_hit_counts_match_python_scan(case):
     index = VaultIndex(vault)
     hits = index.hits(coeffs)
     for row, h in zip(coeffs.tolist(), hits.tolist()):
-        assert h == index.count_hits_python(row) == index.count_hits(row)
+        assert h == count_hits_python(index, row) == index.count_hits(row)
 
 
 def test_count_hits_of_the_true_polynomial_at_default_q():
@@ -200,7 +203,7 @@ def test_count_hits_of_the_true_polynomial_at_default_q():
         vault, truth = lock(tpl, Secret.random(40, random.Random(2)),
                             VaultParams(k=3, t=8, r=30, quiz_n=quiz_n), seed=2)
         index = VaultIndex(vault)
-        assert index.count_hits(truth.coeffs) == index.count_hits_python(truth.coeffs) == 8
+        assert index.count_hits(truth.coeffs) == count_hits_python(index, truth.coeffs) == 8
 
 
 def _oracle_search(index, subsets, D, sweep):
@@ -216,7 +219,7 @@ def _oracle_search(index, subsets, D, sweep):
             pts = [(index.xs[i], (index.ys[i] + o) % q) for i, o in zip(sub, offs)]
             coeffs = field.interpolate(pts)
             interps += 1
-            if index.count_hits_python(coeffs) >= D:
+            if count_hits_python(index, coeffs) >= D:
                 return coeffs, trials, interps, interps * (r - k)
     return None, trials, interps, interps * (r - k)
 
@@ -315,6 +318,86 @@ def test_every_worker_count_agrees_where_batches_use_the_inverse_table(budget):
     for workers in (1, 2, 3):
         got = consensus.search_pool(index, None, budget, chunk, label, workers, D=9, crc=None)
         assert got == want
+
+
+def _crc_vault():
+    # C(40,6)/C(15,6) = 767 trials expected; the 40-subset chunk stream of
+    # the CRC test below succeeds at trial 654, in chunk 16
+    tpl = gen_template(15, seed=6)
+    vault, _ = lock(tpl, Secret.random(64, random.Random(6)),
+                    VaultParams(k=6, t=15, r=40, crc=True), seed=6)
+    return vault, VaultIndex(vault)
+
+
+def _oracle_crc_search(index, subsets, bits):
+    """One candidate at a time through PrimeField.interpolate and the one-row
+    CRC predicate."""
+    field = PrimeField(index.q)
+    trials = 0
+    for sub in subsets:
+        trials += 1
+        coeffs = field.interpolate([(index.xs[i], index.ys[i]) for i in sub])
+        if coeffs_pass_crc(coeffs, bits):
+            return coeffs, trials, trials, 0
+    return None, trials, trials, 0
+
+
+@pytest.mark.parametrize("budget", [3000, 400])
+def test_every_worker_count_agrees_under_the_crc_rule(budget):
+    vault, index = _crc_vault()
+    label, chunk = "6/attack-chunk", 40
+    stream = []
+    for i in range(math.ceil(budget / chunk)):
+        stream += _floyd_rows(index.r, index.k, label, chunk, i)[:budget - i * chunk]
+    want = _oracle_crc_search(index, stream, 64)
+    assert (want[0] is not None) == (budget == 3000) and want[1] > 2 * chunk
+    for workers in (1, 2, 3):
+        got = consensus.search_pool(index, None, budget, chunk, label, workers,
+                                    **stop_rule(vault, "crc", None, 64))
+        assert got == want
+
+
+@pytest.mark.parametrize("bits", [-1, 0, 81, 200])
+def test_crc_rule_refuses_a_bit_length_the_polynomial_cannot_carry(bits):
+    vault, _ = _crc_vault()
+    with pytest.raises(ValueError, match="crc mode carries 1 to 80 secret bits at k=6"):
+        stop_rule(vault, "crc", None, bits)
+
+
+@pytest.mark.parametrize("start", [1, 5, 40, 10**9])
+@pytest.mark.parametrize("mode", ["threshold", "crc"])
+def test_search_result_does_not_depend_on_its_stream_position(start, mode):
+    vault, index = _crc_vault()
+    rng = random.Random(start)
+    subsets = [rng.sample(range(index.r), index.k) for _ in range(3000)]
+    rule = stop_rule(vault, mode, 9, 64)
+    got = search(index, None, subsets, **rule, start=start)
+    assert got == search(index, None, subsets, **rule)
+    assert got[0] is not None
+
+
+def test_a_pool_chunk_past_the_first_interpolates_a_full_batch_first(monkeypatch):
+    # r = 60: a full batch is 2**14 // 60 = 273 subsets of a 512-subset
+    # chunk; chunk 0 grows from one subset, as one search over the stream does
+    tpl = gen_template(15, seed=1)
+    vault, _ = lock(tpl, Secret.random(64, random.Random(1)), VaultParams(k=6, t=15, r=60),
+                    seed=1)
+    index = VaultIndex(vault)
+    cap = consensus.BATCH_ELEMENTS // index.r
+    rows = []
+
+    def spy(xs, ys, q):
+        rows.append(len(xs))
+        return interpolate(xs, ys, q)
+
+    monkeypatch.setattr(consensus, "interpolate", spy)
+    monkeypatch.setattr(consensus, "_WORKER", {})
+    consensus._init_worker(index, None, (index.r, index.k, "1/attack-chunk", 512, 4 * 512),
+                           dict(D=index.r, crc=None))
+    for i in range(4):
+        rows.clear()
+        assert consensus._run_chunk(i)[:2] == (None, 512)
+        assert rows == ([1, 2, 4, 8, 16, 32, 64, 128, 256, 1] if i == 0 else [cap, 512 - cap])
 
 
 def _with_points(vault, points):
