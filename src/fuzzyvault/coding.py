@@ -185,12 +185,13 @@ def coeffs_pass_crc(coeffs, bits: int) -> bool:
 
 @functools.cache
 def _crc_tables(k: int, bits: int):
-    """(limit, offsets, table, zero_crc) for ``rows_pass_crc``.  Limb i must
-    be below limit[i] = 2**min(16, max(0, bits - 16*i)).  Without its init
-    value CRC-16 is linear over GF(2), so the CRC of the n = ceil(bits/8)
-    secret bytes is zero_crc, the CRC of n zero bytes, xor one entry per
-    byte: table[256*j + b] is the init-free CRC of byte b followed by j zero
-    bytes, j counting from the least significant byte."""
+    """(limit, offsets, table) for ``rows_pass_crc``.  Limb i must be below
+    limit[i] = 2**min(16, max(0, bits - 16*i)).  Without its init value
+    CRC-16 is linear over GF(2), so the CRC of the n = ceil(bits/8) secret
+    bytes is the CRC of n zero bytes xor one entry per byte: table[256*j + b]
+    is the init-free CRC of byte b followed by j zero bytes, j counting from
+    the least significant byte, with the CRC of n zero bytes folded into the
+    entries of j = 0."""
     n = (bits + 7) // 8
     limit = np.array([1 << min(CHUNK_BITS, max(0, bits - CHUNK_BITS * i)) for i in range(k - 1)])
     crc_table = np.array(_CRC_TABLE, dtype=np.int64)
@@ -198,16 +199,17 @@ def _crc_tables(k: int, bits: int):
     table[0] = crc_table
     for j in range(1, n):
         table[j] = (table[j - 1] << 8 & 0xFFFF) ^ crc_table[table[j - 1] >> 8]
-    return limit, np.arange(0, 256 * n, 256), table.ravel(), crc16(bytes(n))
+    table[0] ^= crc16(bytes(n))
+    return limit, np.arange(0, 256 * n, 256), table.ravel()
 
 
 def rows_pass_crc(coeffs: np.ndarray, bits: int) -> np.ndarray:
     """``coeffs_pass_crc`` of every row of a (rows, k) array of coefficients
     in [0, q), 1 <= bits <= 16*(k-1): a bool array, one entry per row."""
-    limit, offsets, table, zero_crc = _crc_tables(coeffs.shape[1], bits)
+    limit, offsets, table = _crc_tables(coeffs.shape[1], bits)
     data = coeffs[:, :-1]
     # limb i's bytes, least significant first; a limb of 2**16 or more wraps
     # here but fails the limit test
     octets = data.astype("<u2").view(np.uint8)[:, :len(offsets)]
     crc = np.bitwise_xor.reduce(table.take(octets + offsets), axis=1)
-    return (data < limit).all(axis=1) & (crc ^ zero_crc == coeffs[:, -1])
+    return (crc == coeffs[:, -1]) & (data < limit).all(axis=1)

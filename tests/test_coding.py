@@ -181,9 +181,10 @@ class TestDecode:
 
 @st.composite
 def crc_rows(draw):
-    """(bits, rows, planted) at k from 2 to 14 and 1 <= bits <= 16*(k-1): uniform rows
-    in [0, q), valid encodings, each with one bit flipped, a data limb set to
-    2**16 or a bit set at or above ``bits``, and a CRC coefficient of 2**16.  ``planted`` indexes the valid rows."""
+    """(bits, rows, planted) at k from 2 to 14 and 1 <= bits <= 16*(k-1):
+    uniform rows in [0, q), and valid encodings, each also with one bit
+    flipped, a data limb set to 2**16, a bit set at or above ``bits`` and a
+    CRC coefficient of 2**16.  ``planted`` indexes the valid rows."""
     k = draw(st.integers(2, 14))
     bits = draw(st.integers(1, 16 * (k - 1)))
     rng = draw(st.randoms(use_true_random=False))
@@ -201,10 +202,11 @@ def crc_rows(draw):
         rows.append(limb)
         rows.append(valid[:-1] + [65536])
         if bits < 16 * (k - 1):
-            high = list(valid)
-            bit = rng.randrange(bits, 16 * (k - 1))
-            high[bit // 16] |= 1 << bit % 16
-            rows.append(high)
+            # the lowest bit the secret may not use, and one at random above it
+            for bit in (bits, rng.randrange(bits, 16 * (k - 1))):
+                high = list(valid)
+                high[bit // 16] |= 1 << bit % 16
+                rows.append(high)
     return bits, rows, planted
 
 

@@ -206,12 +206,14 @@ def test_count_hits_of_the_true_polynomial_at_default_q():
         assert index.count_hits(truth.coeffs) == count_hits_python(index, truth.coeffs) == 8
 
 
-def _oracle_search(index, subsets, D, sweep):
+def _oracle_search(index, subsets, D, sweep, bits=None):
     """One candidate at a time through PrimeField.interpolate and the Python
-    scan, in the order the search engine must reproduce."""
+    scan, or the one-row CRC predicate when ``bits`` is given, in the order
+    the search engine must reproduce."""
     q, k, r = index.q, index.k, index.r
     field = PrimeField(q)
     assignments = list(itertools.product(index.offsets, repeat=k)) if sweep else [(0,) * k]
+    checks = r - k if bits is None else 0  # per interpolation; the CRC rule scans nothing
     trials = interps = 0
     for sub in subsets:
         trials += 1
@@ -219,9 +221,10 @@ def _oracle_search(index, subsets, D, sweep):
             pts = [(index.xs[i], (index.ys[i] + o) % q) for i, o in zip(sub, offs)]
             coeffs = field.interpolate(pts)
             interps += 1
-            if count_hits_python(index, coeffs) >= D:
-                return coeffs, trials, interps, interps * (r - k)
-    return None, trials, interps, interps * (r - k)
+            if (count_hits_python(index, coeffs) >= D if bits is None
+                    else coeffs_pass_crc(coeffs, bits)):
+                return coeffs, trials, interps, interps * checks
+    return None, trials, interps, interps * checks
 
 
 def _quiz_index(quiz_n):
@@ -329,19 +332,6 @@ def _crc_vault():
     return vault, VaultIndex(vault)
 
 
-def _oracle_crc_search(index, subsets, bits):
-    """One candidate at a time through PrimeField.interpolate and the one-row
-    CRC predicate."""
-    field = PrimeField(index.q)
-    trials = 0
-    for sub in subsets:
-        trials += 1
-        coeffs = field.interpolate([(index.xs[i], index.ys[i]) for i in sub])
-        if coeffs_pass_crc(coeffs, bits):
-            return coeffs, trials, trials, 0
-    return None, trials, trials, 0
-
-
 @pytest.mark.parametrize("budget", [3000, 400])
 def test_every_worker_count_agrees_under_the_crc_rule(budget):
     vault, index = _crc_vault()
@@ -349,7 +339,7 @@ def test_every_worker_count_agrees_under_the_crc_rule(budget):
     stream = []
     for i in range(math.ceil(budget / chunk)):
         stream += _floyd_rows(index.r, index.k, label, chunk, i)[:budget - i * chunk]
-    want = _oracle_crc_search(index, stream, 64)
+    want = _oracle_search(index, stream, None, False, bits=64)
     assert (want[0] is not None) == (budget == 3000) and want[1] > 2 * chunk
     for workers in (1, 2, 3):
         got = consensus.search_pool(index, None, budget, chunk, label, workers,
