@@ -224,9 +224,10 @@ def stop_rule(vault: Vault, mode: str, D: int | None, bits: int | None) -> dict:
     if mode == "crc":
         if bits is None:
             raise ValueError("crc mode needs the secret bit length")
-        if not 1 <= bits <= capacity_bits(vault.k, True):
-            raise ValueError(f"crc mode carries 1 to {capacity_bits(vault.k, True)} secret "
-                             f"bits at k={vault.k}, not bits={bits}")
+        most = capacity_bits(vault.k, True)
+        if not 1 <= bits <= most:
+            raise ValueError(f"crc mode carries 1 to {most} secret bits at k={vault.k}, "
+                             f"not bits={bits}")
         return dict(D=None, crc=partial(rows_pass_crc, bits=bits))
     if D is None:
         D = vault.k + 3
