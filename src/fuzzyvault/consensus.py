@@ -13,7 +13,10 @@ results depend neither on the batch size nor on the worker count.
 For quiz vaults the graph test is "any transform index matches": a record
 (X, Y) counts as a hit when (g(X) - Y) mod q is one of the n transform
 offsets.  Neither the attacker nor the verifier can know j for records they
-did not match to a minutia.
+did not match to a minutia.  The attacker sweeps all n**k assignments of
+offsets to a subset's ordinates.  Interpolation is linear in the ordinates,
+so each subset's k Lagrange basis polynomials, interpolated and evaluated
+once, give all n**k candidates and their values by broadcast sums.
 """
 
 from __future__ import annotations
@@ -43,8 +46,10 @@ SMALL_INVERSE = 64
 # It covers q = 65537, the modulus of every preset; vault files allow q up
 # to 2**31, where the Fermat loop stays.
 INVERSE_TABLE_Q = 2**17
-# Bound on n**k * max(r, k*k), the int64 elements one subset's quiz sweep
-# needs at once (128 MiB); the attack refuses a larger sweep before searching.
+# Bound on n**k * max(r, k*k) for one subset's quiz sweep.  Its largest array
+# is the (n**k, r) int64 table of assignment sums at the vault abscissae
+# ((n**k, k) coefficients under the CRC rule), 128 MiB at the bound; the
+# attack refuses a larger sweep before searching.
 SWEEP_ELEMENTS = 2**24
 
 
@@ -66,28 +71,41 @@ class VaultIndex:
         self._y = np.asarray(self.ys, dtype=np.int64)
         if vault.quiz_n:
             self.offsets = transform_offsets(vault.quiz_params())
-            self._offsets = np.asarray(sorted(self.offsets), dtype=np.float64)
+            self._step = vault.quiz_params().step
         else:
             self.offsets = None
         self._powers: dict[int, np.ndarray] = {}
 
-    def hits(self, coeffs: np.ndarray) -> np.ndarray:
-        """Vault records on each row's graph (any-index match for quiz
-        vaults), for a (rows, width) array of reduced coefficients."""
+    def values(self, coeffs: np.ndarray) -> np.ndarray:
+        """g(X) mod q at every record X, as float64 (rows, r), for a
+        (rows, width) array of reduced coefficients."""
         width = coeffs.shape[1]
         if width not in self._powers:
             powers = np.ones((width, self.r), dtype=np.int64)
             for j in range(1, width):
                 powers[j] = powers[j - 1] * self._x % self.q
             self._powers[width] = powers.astype(np.float64)
-        vals = matmul_mod(coeffs, self._powers[width], self.q)
+        return matmul_mod(coeffs, self._powers[width], self.q)
+
+    def hits(self, coeffs: np.ndarray) -> np.ndarray:
+        """Vault records on each row's graph (any-index match for quiz
+        vaults), for a (rows, width) array of reduced coefficients."""
+        vals = self.values(coeffs)
         if self.offsets is None:
             return (vals == self._y).sum(axis=1)
-        vals -= self._y
-        np.add(vals, self.q, out=vals, where=vals < 0)
-        # a value is an offset iff the first offset not below it equals it
-        first_above = self._offsets.take(np.searchsorted(self._offsets, vals), mode="clip")
-        return (first_above == vals).sum(axis=1)
+        return self.offset_hits(vals.astype(np.int64))
+
+    def offset_hits(self, vals: np.ndarray) -> np.ndarray:
+        """Per row of the int64 (rows, r) array ``vals``, congruent to g(X)
+        mod q but not necessarily reduced, the records whose (g(X) - Y) mod q
+        is a transform offset m * step, m < n.  Exact integer floor divisions
+        and no table of q entries: n * step <= q, so a residue is an offset
+        iff it is a multiple of step below n * step."""
+        d = vals - self._y
+        d -= d // self.q * self.q
+        m = d // self._step
+        m *= self._step
+        return ((m == d) & (d < len(self.offsets) * self._step)).sum(axis=1)
 
     def count_hits(self, coeffs) -> int:
         """Number of vault records on the candidate's graph (any-index match
@@ -179,7 +197,8 @@ def interpolate(xs: np.ndarray, ys: np.ndarray, q: int) -> np.ndarray:
     """Coefficients (rows, sets, k), constant first, of the polynomials
     through the points (xs[b], ys[b, a]) for each row b of ``xs`` (rows, k),
     distinct values in [0, q), and each ordinate set a of ``ys``
-    (rows, sets, k) in [0, q).  Lagrange form, with 1/denominator folded
+    (rows, sets, k) in [0, q), or an array that broadcasts to it: the (k, k)
+    identity gives each row's Lagrange basis.  Lagrange form, with 1/denominator folded
     into the ordinates: coefficient j of row b, set a is the sum over i of
     ys[b, a, i] / prod_{m != i} (x_i - x_m) times the X**j coefficient of
     prod_{m != i} (X - x_m)."""
@@ -255,11 +274,8 @@ def search(index: VaultIndex, points, subsets, D: int | None = None, crc=None,
     """
     q, k = index.q, index.k
     xs, ys = (index._x, index._y) if points is None else points
-    if sweep:
-        assignments = np.array(list(itertools.product(index.offsets, repeat=k)), dtype=np.int64)
-    else:
-        assignments = np.zeros((1, k), dtype=np.int64)
-    per_trial = len(assignments)
+    offsets = np.array(index.offsets if sweep else (0,), dtype=np.int64)
+    per_trial = len(offsets) ** k
     cap = max(1, BATCH_ELEMENTS // (per_trial * max(index.r, k * k)))
     subsets = iter(subsets)
     trials = interps = 0
@@ -270,16 +286,48 @@ def search(index: VaultIndex, points, subsets, D: int | None = None, crc=None,
         if not chosen:
             break
         sub = np.array(chosen, dtype=np.intp)
-        coeffs = interpolate(xs[sub], (ys[sub][:, None, :] + assignments) % q, q).reshape(-1, k)
-        passed = np.flatnonzero(index.hits(coeffs) >= D if crc is None else crc(coeffs))
-        used = len(coeffs)
+        if sweep:
+            # under assignment a a subset's candidate is the sum over i of
+            # (y_i + offset[a_i]) * L_i, with L_i its Lagrange basis
+            basis = interpolate(xs[sub], np.eye(k, dtype=np.int64), q)
+            ords = (ys[sub][:, :, None] + offsets) % q
+            if crc is None:
+                evals = index.values(basis.reshape(-1, k)).astype(np.int64)
+                sums = _assignment_sums(ords, evals.reshape(len(sub), k, index.r), q)
+                passed = np.flatnonzero(index.offset_hits(sums.reshape(-1, index.r)) >= D)
+            else:
+                passed = np.flatnonzero(crc(_assignment_sums(ords, basis, q).reshape(-1, k) % q))
+        else:
+            coeffs = interpolate(xs[sub], ys[sub][:, None, :], q).reshape(-1, k)
+            passed = np.flatnonzero(index.hits(coeffs) >= D if crc is None else crc(coeffs))
+        used = len(sub) * per_trial
         if len(passed):
-            found = tuple(coeffs[passed[0]].tolist())
             used = int(passed[0]) + 1
+            if sweep:  # the accepted row's coefficients, from its subset alone
+                b, a = divmod(used - 1, per_trial)
+                coeffs = _assignment_sums(ords[b:b + 1], basis[b:b + 1], q)[0] % q
+                found = tuple(coeffs[a].tolist())
+            else:
+                found = tuple(coeffs[used - 1].tolist())
         interps += used
         trials += -(-used // per_trial)  # subsets with at least one row tried
         batch = min(2 * batch, cap)
     return found, trials, interps, 0 if crc is not None else interps * (index.r - k)
+
+
+def _assignment_sums(ords: np.ndarray, tables: np.ndarray, q: int) -> np.ndarray:
+    """sum_i ords[b, i, a_i] * tables[b, i] for every assignment a in
+    range(n)**k, in itertools.product order: (rows, n**k, width) for
+    ``ords`` (rows, k, n) and ``tables`` (rows, k, width), both in [0, q).
+    Each product is below q**2 < 2**62 and reduced; the sums of k residues
+    are left unreduced."""
+    rows, k, width = tables.shape
+    prod = ords[..., None] * tables[:, :, None, :]
+    prod -= prod // q * q  # integer floor division by a scalar beats numpy's %
+    out = prod[:, 0]
+    for i in range(1, k):
+        out = (out[:, :, None] + prod[:, i, None]).reshape(rows, -1, width)
+    return out
 
 
 def _chunk_subsets(n: int, k: int, label: str, chunk: int, budget: int, chunks: range):

@@ -38,7 +38,7 @@ from fuzzyvault.consensus import (
     search,
     stop_rule,
 )
-from fuzzyvault.coding import coeffs_pass_crc
+from fuzzyvault.coding import coeffs_pass_crc, encode_secret
 from fuzzyvault.field import is_prime
 from fuzzyvault.vault import Vault, VaultRecord, coord_shift
 from oracles import count_hits_python
@@ -158,7 +158,7 @@ def test_inverse_uses_the_table_up_to_its_bound(q, table, monkeypatch):
     assert built == ([q] if table else [])
 
 
-def _vault(q, abscissae, ordinates, quiz_n):
+def _vault(q, abscissae, ordinates, quiz_n, k=1):
     """A vault whose records have the given abscissae X = x || y."""
     shift = coord_shift(q)
     mask = (1 << shift) - 1
@@ -166,7 +166,7 @@ def _vault(q, abscissae, ordinates, quiz_n):
         VaultRecord(x >> shift, x & mask, y, 0.0 if quiz_n else None)
         for x, y in zip(abscissae, ordinates)
     )
-    return Vault(q, 1, 1.0, "random", quiz_n, records)
+    return Vault(q, k, 1.0, "random", quiz_n, records)
 
 
 @st.composite
@@ -242,6 +242,60 @@ def test_search_matches_one_candidate_oracle(quiz_n, budget):
         subsets = [rng.sample(range(index.r), index.k) for _ in range(budget)]
         got = search(index, None, subsets, D=6, sweep=bool(quiz_n))
         assert got == _oracle_search(index, subsets, 6, bool(quiz_n))
+
+
+def _crc_quiz_vault():
+    # k = 3 carries 32 secret bits beside its CRC coefficient; n**k = 64
+    tpl = gen_template(8, seed=4)
+    vault, _ = lock(tpl, Secret.random(32, random.Random(4)),
+                    VaultParams(k=3, t=8, r=30, quiz_n=4, crc=True), seed=4)
+    return vault, VaultIndex(vault)
+
+
+@pytest.mark.parametrize("budget", [10_000, 30, 3])
+def test_quiz_sweep_matches_one_candidate_oracle_under_the_crc_rule(budget):
+    vault, index = _crc_quiz_vault()
+    rule = stop_rule(vault, "crc", None, 32)
+    found = 0
+    for seed in range(4):
+        rng = random.Random(seed)
+        subsets = [rng.sample(range(index.r), index.k) for _ in range(budget)]
+        got = search(index, None, subsets, **rule, sweep=True)
+        assert got == _oracle_search(index, subsets, None, True, bits=32)
+        found += got[0] is not None
+    assert found == 4 or budget < 10_000
+
+
+@pytest.mark.parametrize("q", [17, 65537, 2**24 + 43, 2**31 - 1])
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_quiz_sweep_is_exact_at_every_modulus(q, n, k):
+    # a planted polynomial on 6 of 12 records, each stored under a random
+    # transform index; at q = 2**31 - 1 the products of two residues pass
+    # 2**53, so a float product would lose the planted rows.  Above 2**16
+    # the polynomial also carries a valid CRC coefficient (k >= 2).
+    rng = random.Random(q * 100 + n * 10 + k)
+    step = q // n
+    secret = Secret.random(16 * (k - 1), rng) if q > 2**16 and k >= 2 else None
+    coeffs = (encode_secret(secret, k, crc=True, q=q) if secret
+              else [rng.randrange(q) for _ in range(k)])
+    field = PrimeField(q)
+    abscissae = rng.sample(range(q), 12)
+    ordinates = [(field.poly_eval(coeffs, x) - rng.randrange(n) * step) % q
+                 for x in abscissae[:6]] + [rng.randrange(q) for _ in range(6)]
+    vault = _vault(q, abscissae, ordinates, n, k=k)
+    index = VaultIndex(vault)
+    rules = [(dict(D=6, crc=None), None)]
+    if secret:
+        rules.append((stop_rule(vault, "crc", None, secret.bits), secret.bits))
+    for rule, bits in rules:
+        hit = 0
+        for seed in range(3):
+            subsets = [rng.sample(range(12), k) for _ in range(40)]
+            got = search(index, None, subsets, **rule, sweep=True)
+            assert got == _oracle_search(index, subsets, rule["D"], True, bits=bits)
+            hit += got[0] is not None
+        assert hit == 3
 
 
 def _floyd_rows(n, k, label, chunk, i):
