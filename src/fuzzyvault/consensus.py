@@ -98,14 +98,18 @@ class VaultIndex:
     def offset_hits(self, vals: np.ndarray) -> np.ndarray:
         """Per row of the int64 (rows, r) array ``vals``, congruent to g(X)
         mod q but not necessarily reduced, the records whose (g(X) - Y) mod q
-        is a transform offset m * step, m < n.  Exact integer floor divisions
-        and no table of q entries: n * step <= q, so a residue is an offset
-        iff it is a multiple of step below n * step."""
-        d = vals - self._y
-        d -= d // self.q * self.q
-        m = d // self._step
-        m *= self._step
-        return ((m == d) & (d < len(self.offsets) * self._step)).sum(axis=1)
+        is a transform offset m * step, m < n; ``vals`` is overwritten.
+        Exact integer floor divisions and no table of q entries: n * step <= q,
+        so a residue is an offset iff it is a multiple of step below n * step."""
+        vals -= self._y
+        div = vals // self.q
+        div *= self.q
+        vals -= div
+        np.floor_divide(vals, self._step, out=div)
+        div *= self._step
+        hit = div == vals
+        hit &= vals < len(self.offsets) * self._step
+        return hit.sum(axis=1)
 
     def count_hits(self, coeffs) -> int:
         """Number of vault records on the candidate's graph (any-index match
