@@ -202,10 +202,10 @@ def interpolate(xs: np.ndarray, ys: np.ndarray, q: int) -> np.ndarray:
     through the points (xs[b], ys[b, a]) for each row b of ``xs`` (rows, k),
     distinct values in [0, q), and each ordinate set a of ``ys``
     (rows, sets, k) in [0, q), or an array that broadcasts to it: the (k, k)
-    identity gives each row's Lagrange basis.  Lagrange form, with 1/denominator folded
-    into the ordinates: coefficient j of row b, set a is the sum over i of
-    ys[b, a, i] / prod_{m != i} (x_i - x_m) times the X**j coefficient of
-    prod_{m != i} (X - x_m)."""
+    identity gives each row's Lagrange basis.  Lagrange form, with
+    1/denominator folded into the ordinates: coefficient j of row b, set a
+    is the sum over i of ys[b, a, i] / prod_{m != i} (x_i - x_m) times the
+    X**j coefficient of prod_{m != i} (X - x_m)."""
     rows, k = xs.shape
     # denominators prod_{j != i} (x_i - x_j); the differences stay in
     # (-q, q), since each product is reduced and stays below q**2 < 2**62
