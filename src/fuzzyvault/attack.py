@@ -70,6 +70,14 @@ def _canonical_quiz_candidate(index: VaultIndex, coeffs):
     return tuple(rows[best].tolist()), (len(shifts) - 1) * (index.r - index.k)
 
 
+def _combination_blocks(r: int, k: int, budget: int | None):
+    """The first ``budget`` (all when None) k-subsets of range(r) in
+    lexicographic order, as (m, k) intp blocks of PARALLEL_CHUNK_TRIALS rows."""
+    rows = itertools.islice(itertools.combinations(range(r), k), budget)
+    while block := list(itertools.islice(rows, PARALLEL_CHUNK_TRIALS)):
+        yield np.array(block, dtype=np.intp)
+
+
 def brute_force_attack(
     vault: Vault,
     mode: str = "threshold",
@@ -106,8 +114,8 @@ def brute_force_attack(
     if rule["sweep"] and n**k * max(vault.r, k * k) > SWEEP_ELEMENTS:
         raise ValueError(f"quiz sweep of {n}**{k} assignments exceeds the memory bound")
     if exhaustive:
-        subsets = itertools.islice(itertools.combinations(range(vault.r), vault.k), budget)
-        coeffs, trials, interps, checks = search(index, None, subsets, **rule)
+        coeffs, trials, interps, checks = search(
+            index, None, _combination_blocks(vault.r, vault.k, budget), **rule)
     else:
         coeffs, trials, interps, checks = search_pool(
             index, None, budget, PARALLEL_CHUNK_TRIALS, f"{seed}/attack-chunk", workers, **rule

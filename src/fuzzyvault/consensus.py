@@ -7,8 +7,9 @@ serve both.  A batch of subsets is interpolated at once in numpy (Lagrange
 form).  The Lagrange combine and the scan against the powers X**j mod q are
 each one float64 matrix product, exact below 2**53 with as many limbs as
 (q, k) need, one for every preset (``matmul_mod``).  Subsets come from one
-stream of seeded chunks and the first accepted row in stream order wins, so
-results depend neither on the batch size nor on the worker count.
+stream of seeded chunks, each an (m, k) index array that batches slice, and
+the first accepted row in stream order wins, so results depend neither on
+the batch size nor on the worker count.
 
 For quiz vaults the graph test is "any transform index matches": a record
 (X, Y) counts as a hit when (g(X) - Y) mod q is one of the n transform
@@ -36,11 +37,12 @@ from .coding import capacity_bits, rows_pass_crc
 from .quiz import transform_offsets
 from .vault import Vault, concat_coord, coord_shift
 
-# Bound on rows x max(r, k*k), the largest float64 array of one batch (128
-# KiB).  At clancy a 256-row scan ran ~6x slower per row under BLAS threads.
+# Bound on a batch's largest array (128 KiB): rows x max(r, k*k) under the
+# threshold rule, with its (rows, r) vault values, and rows x k*k under the
+# CRC rule.  At clancy a 256-row scan ran ~6x slower per row under BLAS threads.
 BATCH_ELEMENTS = 2**14
-# Crossover, measured at q = 65537 and q = 2**31 - 1, below which Python's
-# pow inverts an array faster than numpy exponentiation.
+# Arrays up to this size are inverted with Python integers (the crossover
+# with numpy, measured at q = 65537 and 2**31 - 1 with one pow per element).
 SMALL_INVERSE = 64
 # Largest q whose inverses come from a per-process table (1 MiB at most).
 # It covers q = 65537, the modulus of every preset; vault files allow q up
@@ -69,6 +71,7 @@ class VaultIndex:
             raise ValueError("two vault records share an abscissa X = x || y mod q")
         self._x = np.asarray(self.xs, dtype=np.int64)
         self._y = np.asarray(self.ys, dtype=np.int64)
+        self._ones = np.ones(self.r)  # per-row hit counts as one BLAS product
         if vault.quiz_n:
             self.offsets = transform_offsets(vault.quiz_params())
             self._step = vault.quiz_params().step
@@ -89,10 +92,11 @@ class VaultIndex:
 
     def hits(self, coeffs: np.ndarray) -> np.ndarray:
         """Vault records on each row's graph (any-index match for quiz
-        vaults), for a (rows, width) array of reduced coefficients."""
+        vaults), as exact float64 counts, for a (rows, width) array of
+        reduced coefficients."""
         vals = self.values(coeffs)
         if self.offsets is None:
-            return (vals == self._y).sum(axis=1)
+            return (vals == self._y) @ self._ones
         return self.offset_hits(vals.astype(np.int64))
 
     def offset_hits(self, vals: np.ndarray) -> np.ndarray:
@@ -109,7 +113,7 @@ class VaultIndex:
         div *= self._step
         hit = div == vals
         hit &= vals < len(self.offsets) * self._step
-        return hit.sum(axis=1)
+        return hit @ self._ones
 
     def count_hits(self, coeffs) -> int:
         """Number of vault records on the candidate's graph (any-index match
@@ -173,14 +177,19 @@ def _inverse_table(q: int) -> np.ndarray:
 
 def _inverse(a: np.ndarray, q: int) -> np.ndarray:
     """Elementwise inverse mod q of nonzero a in [0, q).  Arrays of at most
-    SMALL_INVERSE elements go through Python's pow.  Larger ones are looked
-    up in ``_inverse_table`` when q <= INVERSE_TABLE_Q; each process builds
-    the table at its first such array (512 KiB at q = 65537).  Above the
-    bound (vault files allow q < 2**31) a numpy loop raises a to q-2 (Fermat),
-    about 2*log2(q) passes whatever the size."""
+    SMALL_INVERSE elements take one Python pow of their product and two
+    passes of Python products (Montgomery's batch trick).  Larger ones are
+    looked up in ``_inverse_table`` when q <= INVERSE_TABLE_Q; each process
+    builds the table at its first such array (512 KiB at q = 65537).  Above
+    the bound (vault files allow q < 2**31) a numpy loop raises a to q-2
+    (Fermat), about 2*log2(q) passes whatever the size."""
     if a.size <= SMALL_INVERSE:
-        return np.array([pow(v, q - 2, q) for v in a.ravel().tolist()],
-                        dtype=np.int64).reshape(a.shape)
+        vals = a.ravel().tolist()
+        prefix = list(itertools.accumulate(vals, lambda p, v: p * v % q, initial=1))
+        inv = pow(prefix.pop(), q - 2, q)  # of the whole product
+        for i in range(len(vals) - 1, -1, -1):  # inv = 1 / (a_0 ... a_i) here
+            inv, prefix[i] = inv * vals[i] % q, inv * prefix[i] % q
+        return np.array(prefix, dtype=np.int64).reshape(a.shape)
     if q <= INVERSE_TABLE_Q:
         return _inverse_table(q).take(a)
     out = np.ones_like(a)
@@ -259,11 +268,12 @@ def stop_rule(vault: Vault, mode: str, D: int | None, bits: int | None) -> dict:
     return dict(D=D, crc=None)
 
 
-def search(index: VaultIndex, points, subsets, D: int | None = None, crc=None,
+def search(index: VaultIndex, points, blocks, D: int | None = None, crc=None,
            sweep: bool = False, start: int = 0):
-    """Try the index tuples ``subsets`` of ``points`` in order until one
-    yields an accepted candidate or they run out.  Returns (coeffs or None,
-    trials, interpolations, point checks).
+    """Try the k-subsets of ``points`` in ``blocks``, an iterable of (m, k)
+    intp arrays of point indices, in order until one yields an accepted
+    candidate or they run out.  Returns (coeffs or None, trials,
+    interpolations, point checks).
 
     ``points``: (xs, ys) int64 arrays, xs distinct and reduced mod q, or
     None for the vault's own records.  The rule is the threshold D on vault
@@ -271,25 +281,21 @@ def search(index: VaultIndex, points, subsets, D: int | None = None, crc=None,
     (rows, k) coefficient array.
     ``sweep``: try every subset under all n**k quiz transform assignments,
     in itertools.product order; the caller bounds n**k by SWEEP_ELEMENTS.
-    ``start``: the stream position of the first subset.  The first batch is
-    start + 1 subsets (at most the cap) and each next one twice as many, so
-    a pool chunk late in the stream searches at full batch from its first
-    row, as one search over the whole stream would by then.
+    ``start``: the stream position of the first subset.  Batches are slices
+    of one block, the first start + 1 subsets and each next one twice as
+    many, up to the rule's BATCH_ELEMENTS cap, so a pool chunk late in the
+    stream searches at full batch from its first row, as one search over the
+    whole stream would by then.
     """
     q, k = index.q, index.k
     xs, ys = (index._x, index._y) if points is None else points
     offsets = np.array(index.offsets if sweep else (0,), dtype=np.int64)
     per_trial = len(offsets) ** k
-    cap = max(1, BATCH_ELEMENTS // (per_trial * max(index.r, k * k)))
-    subsets = iter(subsets)
+    width = k * k if crc is not None else max(index.r, k * k)
+    cap = max(1, BATCH_ELEMENTS // (per_trial * width))
     trials = interps = 0
-    batch = min(cap, start + 1)
     found = None
-    while found is None:
-        chosen = list(itertools.islice(subsets, batch))
-        if not chosen:
-            break
-        sub = np.array(chosen, dtype=np.intp)
+    for sub in _batches(blocks, min(cap, start + 1), cap):
         if sweep:
             # under assignment a a subset's candidate is the sum over i of
             # (y_i + offset[a_i]) * L_i, with L_i its Lagrange basis
@@ -304,19 +310,29 @@ def search(index: VaultIndex, points, subsets, D: int | None = None, crc=None,
         else:
             coeffs = interpolate(xs[sub], ys[sub][:, None, :], q).reshape(-1, k)
             passed = np.flatnonzero(index.hits(coeffs) >= D if crc is None else crc(coeffs))
-        used = len(sub) * per_trial
+        used = int(passed[0]) + 1 if len(passed) else len(sub) * per_trial
+        interps += used
+        trials += -(-used // per_trial)  # subsets with at least one row tried
         if len(passed):
-            used = int(passed[0]) + 1
             if sweep:  # the accepted row's coefficients, from its subset alone
                 b, a = divmod(used - 1, per_trial)
                 coeffs = _assignment_sums(ords[b:b + 1], basis[b:b + 1], q)[0] % q
                 found = tuple(coeffs[a].tolist())
             else:
                 found = tuple(coeffs[used - 1].tolist())
-        interps += used
-        trials += -(-used // per_trial)  # subsets with at least one row tried
-        batch = min(2 * batch, cap)
+            break
     return found, trials, interps, 0 if crc is not None else interps * (index.r - k)
+
+
+def _batches(blocks, batch: int, cap: int):
+    """Consecutive slices of each block, the first ``batch`` rows long and
+    each next one twice as long, up to ``cap``; no slice crosses a block."""
+    for block in blocks:
+        lo = 0
+        while lo < len(block):
+            yield block[lo:lo + batch]
+            lo += batch
+            batch = min(2 * batch, cap)
 
 
 def _assignment_sums(ords: np.ndarray, tables: np.ndarray, q: int) -> np.ndarray:
@@ -335,20 +351,21 @@ def _assignment_sums(ords: np.ndarray, tables: np.ndarray, q: int) -> np.ndarray
 
 
 def _chunk_subsets(n: int, k: int, label: str, chunk: int, budget: int, chunks: range):
-    """The k-subsets of range(n) drawn by the chunks numbered ``chunks``:
-    the first min(chunk, budget - i * chunk) rows of chunk i's full draw, so
-    a smaller budget's stream is a prefix of a larger one's.  Chunk i draws
-    once from a PCG64 generator seeded with the SHA-256 of f"{label}{i}",
-    all rows at once by Floyd's algorithm (Bentley & Floyd, CACM 1987):
-    column c is uniform on [0, n-k+c] and takes n-k+c where it repeats an
-    earlier column, so every k-subset is equally likely."""
+    """The k-subsets of range(n) drawn by the chunks numbered ``chunks``, as
+    one C-ordered (m, k) intp array per chunk: the first min(chunk, budget -
+    i * chunk) rows of chunk i's full draw, so a smaller budget's stream is
+    a prefix of a larger one's.  Chunk i draws once from a PCG64 generator
+    seeded with the SHA-256 of f"{label}{i}", all rows at once by Floyd's
+    algorithm (Bentley & Floyd, CACM 1987): column c is uniform on
+    [0, n-k+c] and takes n-k+c where it repeats an earlier column, so every
+    k-subset is equally likely."""
     for i in chunks:
         seed = int.from_bytes(hashlib.sha256(f"{label}{i}".encode()).digest(), "little")
         draw = np.random.Generator(np.random.PCG64(seed)).integers(
             0, np.arange(n - k + 1, n + 1)[:, None], size=(k, chunk))
         for c in range(1, k):
             draw[c][(draw[:c] == draw[c]).any(axis=0)] = n - k + c
-        yield from draw[:, :min(chunk, budget - i * chunk)].T.tolist()
+        yield np.ascontiguousarray(draw[:, :min(chunk, budget - i * chunk)].T, dtype=np.intp)
 
 
 # Worker-side state for the process pool, installed once per process.

@@ -21,6 +21,7 @@ from fuzzyvault import (
     lock_polynomial,
     lock_two_fingers,
 )
+from fuzzyvault.attack import _combination_blocks
 from oracles import count_hits_python
 
 F = PrimeField()
@@ -113,6 +114,13 @@ class TestBruteForce:
         report = brute_force_attack(vault, D=6, exhaustive=True, bits=32)
         assert report.success and report.coeffs == truth.coeffs
         assert report.trials <= math.comb(10, 3)
+
+    @pytest.mark.parametrize("budget, sizes", [(1000, [512, 488]), (None, [512, 512, 116])])
+    def test_exhaustive_stream_is_lexicographic_in_bounded_blocks(self, budget, sizes):
+        blocks = list(_combination_blocks(20, 3, budget))
+        assert [block.shape for block in blocks] == [(m, 3) for m in sizes]
+        rows = [tuple(row) for block in blocks for row in block.tolist()]
+        assert rows == list(itertools.islice(itertools.combinations(range(20), 3), budget))
 
     def test_crc_stop_rule(self):
         tpl = gen_template(8, seed=9)

@@ -1,6 +1,7 @@
 """The batched search kernel against its exact oracles, and the bounded
 parallel runner."""
 
+import functools
 import hashlib
 import itertools
 import math
@@ -12,7 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzyvault import (
@@ -227,6 +228,16 @@ def _oracle_search(index, subsets, D, sweep, bits=None):
     return None, trials, interps, interps * checks
 
 
+def _one_block(rows):
+    """A list of index rows as the one (m, k) block of a ``search`` stream."""
+    return [np.array(rows, dtype=np.intp)]
+
+
+def _stream_rows(blocks):
+    """The rows of a ``_chunk_subsets`` stream, as lists of indices."""
+    return [row for block in blocks for row in block.tolist()]
+
+
 def _quiz_index(quiz_n):
     tpl = gen_template(8, seed=4)
     vault, _ = lock(tpl, Secret.random(40, random.Random(4)),
@@ -240,7 +251,7 @@ def test_search_matches_one_candidate_oracle(quiz_n, budget):
     for seed in range(4):
         rng = random.Random(seed)
         subsets = [rng.sample(range(index.r), index.k) for _ in range(budget)]
-        got = search(index, None, subsets, D=6, sweep=bool(quiz_n))
+        got = search(index, None, _one_block(subsets), D=6, sweep=bool(quiz_n))
         assert got == _oracle_search(index, subsets, 6, bool(quiz_n))
 
 
@@ -260,7 +271,7 @@ def test_quiz_sweep_matches_one_candidate_oracle_under_the_crc_rule(budget):
     for seed in range(4):
         rng = random.Random(seed)
         subsets = [rng.sample(range(index.r), index.k) for _ in range(budget)]
-        got = search(index, None, subsets, **rule, sweep=True)
+        got = search(index, None, _one_block(subsets), **rule, sweep=True)
         assert got == _oracle_search(index, subsets, None, True, bits=32)
         found += got[0] is not None
     assert found == 4 or budget < 10_000
@@ -292,7 +303,7 @@ def test_quiz_sweep_is_exact_at_every_modulus(q, n, k):
         hit = 0
         for seed in range(3):
             subsets = [rng.sample(range(12), k) for _ in range(40)]
-            got = search(index, None, subsets, **rule, sweep=True)
+            got = search(index, None, _one_block(subsets), **rule, sweep=True)
             assert got == _oracle_search(index, subsets, rule["D"], True, bits=bits)
             hit += got[0] is not None
         assert hit == 3
@@ -318,7 +329,7 @@ def _floyd_rows(n, k, label, chunk, i):
     st.just(n), st.integers(1, n), st.integers(1, 50), st.integers(0, 3), st.text(max_size=8))))
 def test_vectorized_floyd_matches_the_per_row_loop(case):
     n, k, chunk, i, label = case
-    rows = list(_chunk_subsets(n, k, label, chunk, (i + 1) * chunk, range(i, i + 1)))
+    rows = _stream_rows(_chunk_subsets(n, k, label, chunk, (i + 1) * chunk, range(i, i + 1)))
     assert rows == _floyd_rows(n, k, label, chunk, i)
     assert all(len(set(row)) == k and set(row) <= set(range(n)) for row in rows)
 
@@ -327,8 +338,8 @@ def test_subset_draws_are_uniform_over_all_subsets():
     # 112,000 draws over the C(8,3) = 56 subsets of range(8): chi-square on
     # 55 degrees of freedom stays below 93.2 with probability 0.999
     draws = 112_000
-    counts = Counter(frozenset(row) for row in _chunk_subsets(8, 3, "7/chi2", 512, draws,
-                                                              range(math.ceil(draws / 512))))
+    counts = Counter(frozenset(row) for row in _stream_rows(_chunk_subsets(
+        8, 3, "7/chi2", 512, draws, range(math.ceil(draws / 512)))))
     assert len(counts) == math.comb(8, 3)
     expected = draws / math.comb(8, 3)
     assert sum((c - expected) ** 2 / expected for c in counts.values()) < 93.2
@@ -337,7 +348,8 @@ def test_subset_draws_are_uniform_over_all_subsets():
 @given(st.integers(0, 200), st.integers(1, 64))
 def test_a_budget_stream_is_a_prefix_of_a_larger_budget_stream(budget, chunk):
     def stream(b):
-        return list(_chunk_subsets(30, 4, "3/attack-chunk", chunk, b, range(math.ceil(b / chunk))))
+        return _stream_rows(_chunk_subsets(30, 4, "3/attack-chunk", chunk, b,
+                                           range(math.ceil(b / chunk))))
 
     rows = stream(budget)
     assert len(rows) == budget and rows == stream(2 * budget)[:budget]
@@ -415,9 +427,82 @@ def test_search_result_does_not_depend_on_its_stream_position(start, mode):
     rng = random.Random(start)
     subsets = [rng.sample(range(index.r), index.k) for _ in range(3000)]
     rule = stop_rule(vault, mode, 9, 64)
-    got = search(index, None, subsets, **rule, start=start)
-    assert got == search(index, None, subsets, **rule)
+    got = search(index, None, _one_block(subsets), **rule, start=start)
+    assert got == search(index, None, _one_block(subsets), **rule)
     assert got[0] is not None
+
+
+def _split_rule(name):
+    """(index, search keywords, CRC bits or None) of one stop rule."""
+    if name == "sweep":
+        return _quiz_index(4), dict(D=6, crc=None, sweep=True), None
+    if name == "sweep-crc":
+        vault, index = _crc_quiz_vault()
+        return index, dict(**stop_rule(vault, "crc", None, 32), sweep=True), 32
+    vault, index = _crc_vault()
+    bits = 64 if name == "crc" else None
+    return index, stop_rule(vault, name, 9, bits), bits
+
+
+@functools.cache
+def _split_stream(name, found):
+    """(index, rule, the (m, k) stream, the oracle's result) for one stop
+    rule.  The 1500-subset stream of the k = 6 vault succeeds at trial 1342,
+    past two full batches, and the 40-subset quiz streams (64 candidates per
+    subset) at trial 26; the shorter streams do not succeed."""
+    index, rule, bits = _split_rule(name)
+    sweep = rule.get("sweep", False)
+    rng = random.Random(1 if sweep else 3)
+    length = (40 if found else 20) if sweep else (1500 if found else 1000)
+    subsets = [rng.sample(range(index.r), index.k) for _ in range(length)]
+    want = _oracle_search(index, subsets, rule["D"], sweep, bits=bits)
+    assert (want[0] is not None) == found
+    return index, rule, np.array(subsets, dtype=np.intp), want
+
+
+# the batch caps: 2**14 // 40 (r = 40), 2**14 // 36 (k*k = 36 under the CRC
+# rule), 2**14 // (64 * 30) and 2**14 // (64 * 9) for the quiz sweeps
+@pytest.mark.parametrize("name, cap", [("threshold", 409), ("crc", 455), ("sweep", 8),
+                                       ("sweep-crc", 28)])
+@pytest.mark.parametrize("found", [True, False])
+@settings(deadline=None)
+@given(data=st.data())
+def test_search_over_any_split_of_its_stream_matches_the_oracle(name, cap, found, data):
+    index, rule, stream, want = _split_stream(name, found)
+    size = st.one_of(st.just(1), st.integers(2, cap - 1), st.integers(cap + 1, 3 * cap))
+    cuts = itertools.accumulate(data.draw(st.lists(size, max_size=12)))
+    blocks = np.split(stream, [c for c in cuts if c < len(stream)])
+    start = data.draw(st.sampled_from([0, 1, 100, 10**6]))
+    assert search(index, None, blocks, **rule, start=start) == want
+    assert search(index, None, [stream], **rule) == want
+
+
+def test_each_stop_rule_sizes_its_batch_by_the_arrays_it_builds(monkeypatch):
+    # r = 200, k = 8: the CRC rule's largest array is the (rows, k, k)
+    # differences, a full batch 2**14 // 64 = 256 rows; the threshold rule's
+    # is the (rows, r) vault values, 2**14 // 200 = 81 rows
+    rng = random.Random(8)
+    q = 65537
+    vault = _vault(q, rng.sample(range(q), 200), [rng.randrange(q) for _ in range(200)], 0, k=8)
+    index = VaultIndex(vault)
+    block = np.array([rng.sample(range(200), 8) for _ in range(1024)], dtype=np.intp)
+    rows = []
+
+    def spy(xs, ys, q):
+        rows.append(len(xs))
+        return interpolate(xs, ys, q)
+
+    monkeypatch.setattr(consensus, "interpolate", spy)
+    ramp = [1, 2, 4, 8, 16, 32, 64, 128]
+    for rule, batches in [(stop_rule(vault, "threshold", 200, None), ramp[:7] + [81] * 11 + [6]),
+                          (stop_rule(vault, "crc", None, 112), ramp + [256] * 3 + [1])]:
+        rows.clear()
+        assert search(index, None, [block], **rule)[:2] == (None, 1024)
+        assert rows == batches
+    # a batch ends with its block, and the next block goes on at full batch
+    rows.clear()
+    search(index, None, [block[:300], block[300:]], **stop_rule(vault, "threshold", 200, None))
+    assert rows == ramp[:7] + [81, 81, 11] + [81] * 8 + [76]
 
 
 def test_a_pool_chunk_past_the_first_interpolates_a_full_batch_first(monkeypatch):
