@@ -101,8 +101,9 @@ class VaultIndex:
 
     def offset_hits(self, vals: np.ndarray) -> np.ndarray:
         """Per row of the int64 (rows, r) array ``vals``, congruent to g(X)
-        mod q but not necessarily reduced, the records whose (g(X) - Y) mod q
-        is a transform offset m * step, m < n; ``vals`` is overwritten.
+        mod q but not necessarily reduced, the count (float64) of records
+        whose (g(X) - Y) mod q is a transform offset m * step, m < n; ``vals``
+        is overwritten.
         Exact integer floor divisions and no table of q entries: n * step <= q,
         so a residue is an offset iff it is a multiple of step below n * step."""
         vals -= self._y
