@@ -5,9 +5,9 @@ The brute forcer never sees ground truth: it repeatedly draws a uniform
 random k-subset of vault records (with replacement across trials, so the
 expected trial count is exactly C(r,k)/C(t,k)), interpolates a candidate
 polynomial, scans the vault for further graph hits and accepts once D
-records lie on the graph (threshold rule) or the CRC coefficient checks
-out.  For quiz vaults every subset is tried under all n**k transform-index
-assignments.
+records lie on the graph (threshold rule), or once the CRC coefficient
+checks out and D records lie on the graph (CRC rule).  For quiz vaults
+every subset is tried under all n**k transform-index assignments.
 """
 
 from __future__ import annotations
@@ -92,7 +92,8 @@ def brute_force_attack(
     """Run the brute-force attack against an intercepted vault.
 
     ``mode``: "threshold" (accept at >= D graph hits, default D = k+3) or
-    "crc" (accept when the candidate passes the CRC check; needs ``bits``).
+    "crc" (accept when the candidate passes the CRC check and has >= D
+    graph hits; needs ``bits``).
     ``budget`` defaults to 20x the expected trial count, which requires the
     attacker to assume a genuine count ``t_assumed``.  ``exhaustive``
     iterates k-subsets in lexicographic order instead of sampling (tiny
@@ -151,7 +152,7 @@ def count_matching_polynomials(vault: Vault, t_hits: int, k: int | None = None) 
     index = VaultIndex(vault)
     counts = array("H", bytes(2 * q**k))
     tails = q ** (k - 1)
-    for x, y in zip(index.xs, index.ys):
+    for x, y in zip(index._x.tolist(), index._y.tolist()):
         pows = [pow(x, j, q) for j in range(1, k)]
         for tail in range(tails):
             s = 0
@@ -173,11 +174,11 @@ def correlate_vaults(vaults: list[Vault], eps: float) -> list[tuple[int, int]]:
         raise ValueError("need at least one vault")
     if not eps >= 0:
         raise ValueError(f"correlation radius eps={eps} is not a number >= 0")
-    candidates = [(rec.x, rec.y) for rec in vaults[0].records]
+    candidates = np.stack((vaults[0].x, vaults[0].y), axis=1)
     for other in vaults[1:]:
-        d2 = squared_distances(candidates, [(rec.x, rec.y) for rec in other.records])
-        candidates = list(itertools.compress(candidates, (d2 <= eps * eps).any(axis=1)))
-    return candidates
+        d2 = squared_distances(candidates, np.stack((other.x, other.y), axis=1))
+        candidates = candidates[(d2 <= eps * eps).any(axis=1)]
+    return list(map(tuple, candidates.tolist()))
 
 
 def report_to_dict(report: AttackReport) -> dict:

@@ -309,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vault", required=True)
     p.add_argument("--template", required=True)
     p.add_argument("--mode", choices=("threshold", "crc"), default="threshold")
-    p.add_argument("--D", type=int, help="threshold (default k+3)")
+    p.add_argument("--D", type=int,
+                   help="vault hits a candidate needs, in either mode (default k+3)")
     p.add_argument("--bits", type=int, help="secret bit length for decoding")
     p.add_argument("--crc-encoded", action="store_true",
                    help="vault polynomial carries a CRC coefficient")
@@ -325,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=sorted(PRESETS),
                    help="supplies the threshold D and the assumed genuine count")
     p.add_argument("--mode", choices=("threshold", "crc"), default="threshold")
-    p.add_argument("--D", type=int)
+    p.add_argument("--D", type=int, help="vault hits a candidate needs, in either mode "
+                   "(default: the preset's D, else k+3)")
     p.add_argument("--bits", type=int, help="secret bit length (required for crc mode)")
     p.add_argument("--budget", type=int)
     p.add_argument("--assume-t", type=int,

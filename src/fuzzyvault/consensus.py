@@ -1,15 +1,16 @@
 """Candidate search shared by the genuine verifier and the attacker.
 
 Both sides draw k-subsets of a point list, interpolate a candidate through
-each, then either count the vault records on its graph (threshold rule) or
-check its CRC coefficient.  One search function and one parallel runner
-serve both.  A batch of subsets is interpolated at once in numpy (Lagrange
-form).  The Lagrange combine and the scan against the powers X**j mod q are
-each one float64 matrix product, exact below 2**53 with as many limbs as
-(q, k) need, one for every preset (``matmul_mod``).  Subsets come from one
-stream of seeded chunks, each an (m, k) index array that batches slice, and
-the first accepted row in stream order wins, so results depend neither on
-the batch size nor on the worker count.
+each and count the vault records on its graph (threshold rule); the CRC rule
+first checks its CRC coefficient and counts only for the rows that pass.
+One search function and one parallel runner serve both.  A batch of
+subsets is interpolated at once in numpy (Lagrange form).  The Lagrange
+combine and the scan against the powers X**j mod q are each one float64
+matrix product, exact below 2**53 with as many limbs as (q, k) need, one
+for every preset (``matmul_mod``).  Subsets come from one stream of seeded
+chunks, each an (m, k) index array that batches slice, and the first
+accepted row in stream order wins, so results depend neither on the batch
+size nor on the worker count.
 
 For quiz vaults the graph test is "any transform index matches": a record
 (X, Y) counts as a hit when (g(X) - Y) mod q is one of the n transform
@@ -35,7 +36,7 @@ import numpy as np
 
 from .coding import capacity_bits, rows_pass_crc
 from .quiz import transform_offsets
-from .vault import Vault, concat_coord, coord_shift
+from .vault import Vault, coord_shift, has_repeats
 
 # Bound on a batch's largest array (128 KiB): rows x max(r, k*k) under the
 # threshold rule, with its (rows, r) vault values, and rows x k*k under the
@@ -63,14 +64,11 @@ class VaultIndex:
     def __init__(self, vault: Vault):
         self.q = vault.q
         self.k = vault.k
-        shift = coord_shift(vault.q)
-        self.xs = [concat_coord(rec.x, rec.y, shift) % self.q for rec in vault.records]
-        self.ys = [rec.value for rec in vault.records]
-        self.r = len(self.xs)
-        if len(set(self.xs)) != self.r:
+        self._x = (vault.x << coord_shift(vault.q) | vault.y) % self.q
+        self._y = vault.Y
+        self.r = len(self._x)
+        if has_repeats(self._x):
             raise ValueError("two vault records share an abscissa X = x || y mod q")
-        self._x = np.asarray(self.xs, dtype=np.int64)
-        self._y = np.asarray(self.ys, dtype=np.int64)
         self._ones = np.ones(self.r)  # per-row hit counts as one BLAS product
         if vault.quiz_n:
             self.offsets = transform_offsets(vault.quiz_params())
@@ -248,29 +246,32 @@ def interpolate(xs: np.ndarray, ys: np.ndarray, q: int) -> np.ndarray:
 
 
 def stop_rule(vault: Vault, mode: str, D: int | None, bits: int | None) -> dict:
-    """The ``search`` keywords of a stop rule.  "threshold" accepts at >= D
-    vault records on the graph (default D = k+3, at most r); "crc" accepts
-    the rows that pass ``rows_pass_crc`` and needs the secret bit length,
-    1 <= bits <= 16*(k-1)."""
+    """The ``search`` keywords of a stop rule.  Both rules accept a candidate
+    only with >= D vault records on its graph (default D = k+3, at most r).
+    "threshold" needs nothing more; "crc" also needs the candidate to pass
+    ``rows_pass_crc``, and the secret bit length, 1 <= bits <= 16*(k-1).
+    A random candidate passes CRC-16 with probability 2**-16, so without
+    the hits a long CRC search stops on a wrong secret long before the true
+    one; the true polynomial has t >= D hits, so it still passes."""
     if mode not in ("threshold", "crc"):
         raise ValueError(f"unknown stop rule: {mode!r}")
-    if mode == "crc":
-        if bits is None:
-            raise ValueError("crc mode needs the secret bit length")
-        most = capacity_bits(vault.k, True)
-        if not 1 <= bits <= most:
-            raise ValueError(f"crc mode carries 1 to {most} secret bits at k={vault.k}, "
-                             f"not bits={bits}")
-        return dict(D=None, crc=partial(rows_pass_crc, bits=bits))
     if D is None:
         D = vault.k + 3
     if D > vault.r:
         raise ValueError(f"threshold D={D} exceeds vault size r={vault.r}")
-    return dict(D=D, crc=None)
+    if mode == "threshold":
+        return dict(D=D, crc=None)
+    if bits is None:
+        raise ValueError("crc mode needs the secret bit length")
+    most = capacity_bits(vault.k, True)
+    if not 1 <= bits <= most:
+        raise ValueError(f"crc mode carries 1 to {most} secret bits at k={vault.k}, "
+                         f"not bits={bits}")
+    return dict(D=D, crc=partial(rows_pass_crc, bits=bits))
 
 
-def search(index: VaultIndex, points, blocks, D: int | None = None, crc=None,
-           sweep: bool = False, start: int = 0):
+def search(index: VaultIndex, points, blocks, D: int, crc=None, sweep: bool = False,
+           start: int = 0):
     """Try the k-subsets of ``points`` in ``blocks``, an iterable of (m, k)
     intp arrays of point indices, in order until one yields an accepted
     candidate or they run out.  Returns (coeffs or None, trials,
@@ -278,8 +279,11 @@ def search(index: VaultIndex, points, blocks, D: int | None = None, crc=None,
 
     ``points``: (xs, ys) int64 arrays, xs distinct and reduced mod q, or
     None for the vault's own records.  The rule is the threshold D on vault
-    hits, or, when ``crc`` is given, the predicate ``crc(coeffs)`` over the
-    (rows, k) coefficient array.
+    hits; when ``crc`` is given, a row must first pass the predicate
+    ``crc(coeffs)`` over the (rows, k) coefficient array, and only the rows
+    that pass (about one in 65,536) are scanned for their hits.  Point
+    checks count the threshold rule's scans, r - k per interpolation; the
+    CRC rule's confirming scans are not counted.
     ``sweep``: try every subset under all n**k quiz transform assignments,
     in itertools.product order; the caller bounds n**k by SWEEP_ELEMENTS.
     ``start``: the stream position of the first subset.  Batches are slices
@@ -296,6 +300,13 @@ def search(index: VaultIndex, points, blocks, D: int | None = None, crc=None,
     cap = max(1, BATCH_ELEMENTS // (per_trial * width))
     trials = interps = 0
     found = None
+
+    def accepted(coeffs):  # the rule's passing rows of a (rows, k) array
+        if crc is None:
+            return np.flatnonzero(index.hits(coeffs) >= D)
+        passed = np.flatnonzero(crc(coeffs))
+        return passed[index.hits(coeffs[passed]) >= D] if len(passed) else passed
+
     for sub in _batches(blocks, min(cap, start + 1), cap):
         if sweep:
             # under assignment a a subset's candidate is the sum over i of
@@ -307,10 +318,10 @@ def search(index: VaultIndex, points, blocks, D: int | None = None, crc=None,
                 sums = _assignment_sums(ords, evals.reshape(len(sub), k, index.r), q)
                 passed = np.flatnonzero(index.offset_hits(sums.reshape(-1, index.r)) >= D)
             else:
-                passed = np.flatnonzero(crc(_assignment_sums(ords, basis, q).reshape(-1, k) % q))
+                passed = accepted(_assignment_sums(ords, basis, q).reshape(-1, k) % q)
         else:
             coeffs = interpolate(xs[sub], ys[sub][:, None, :], q).reshape(-1, k)
-            passed = np.flatnonzero(index.hits(coeffs) >= D if crc is None else crc(coeffs))
+            passed = accepted(coeffs)
         used = int(passed[0]) + 1 if len(passed) else len(sub) * per_trial
         interps += used
         trials += -(-used // per_trial)  # subsets with at least one row tried

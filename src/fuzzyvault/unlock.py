@@ -19,7 +19,7 @@ from .coding import Secret, try_decode
 from .coding import coeffs_pass_crc  # noqa: F401  perfbench/tracer.py patches this name
 from .consensus import VaultIndex, search_pool, stop_rule
 from .geometry import squared_distances
-from .quiz import apply_transform, recover_index
+from .quiz import recover_index
 from .simulate import Minutia, Template
 from .vault import Vault
 
@@ -54,7 +54,7 @@ def build_unlocking_set(vault: Vault, template: Template, tau: float) -> Unlocki
     (distance, record index, minutia index), so the result is deterministic."""
     if not tau >= 0:
         raise ValueError(f"match tolerance tau={tau} is not a number >= 0")
-    d2 = squared_distances([(rec.x, rec.y) for rec in vault.records],
+    d2 = squared_distances(np.stack((vault.x, vault.y), axis=1),
                            [(m.x, m.y) for m in template.minutiae])
     ris, mis = np.nonzero(d2 <= tau * tau)
     order = np.lexsort((mis, ris, d2[ris, mis]))
@@ -75,15 +75,14 @@ def _candidate_points(vault: Vault, index: VaultIndex, uset: UnlockingSet) -> np
     """(X mod q, true ordinate) of the matched records, as a (2, len(uset))
     array.  In quiz mode the transform index is recovered from the matched
     minutia's orientation."""
-    qp = vault.quiz_params()
-    pts = []
-    for ri, m in uset.pairs:
-        rec = vault.records[ri]
-        y = rec.value
-        if qp is not None:
-            y = apply_transform(y, recover_index(m.theta, rec.beta, qp.n), qp)
-        pts.append((index.xs[ri], y))
-    return np.array(pts, dtype=np.int64).reshape(-1, 2).T
+    ris = np.array([ri for ri, _ in uset.pairs], dtype=np.intp)
+    ys = index._y[ris]
+    if vault.quiz_n:
+        qp = vault.quiz_params()
+        js = [recover_index(m.theta, beta, qp.n)
+              for (_, m), beta in zip(uset.pairs, vault.beta[ris].tolist())]
+        ys = (ys + np.array(js, dtype=np.int64) * qp.step) % qp.q
+    return np.stack((index._x[ris], ys))
 
 
 def consensus_decode(
@@ -103,9 +102,10 @@ def consensus_decode(
 
     Threshold mode accepts when >= D vault records (vault-wide, not just the
     unlocking set) lie on the candidate's graph; default D = k+3.  CRC mode
-    accepts when the candidate decodes with a valid checksum and needs the
-    secret bit length.  ``crc_encoded`` tells the decoder whether the vault
-    polynomial carries a CRC coefficient (defaults to mode == "crc").
+    accepts when the candidate decodes with a valid checksum and has those
+    D hits too, and needs the secret bit length.  ``crc_encoded`` tells the
+    decoder whether the vault polynomial carries a CRC coefficient
+    (defaults to mode == "crc").
     A failure result signals insufficient overlap, not corruption.
     """
     rule = stop_rule(vault, mode, D, bits)

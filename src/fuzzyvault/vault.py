@@ -2,7 +2,12 @@
 hexagonal-grid), record shuffling, serialization, and the two-finger split.
 
 The attacker-visible object is a Vault: public parameters (q, k, d, grid
-kind, quiz granularity) plus r records (x, y, Y[, beta]).  Everything an
+kind, quiz granularity) plus r points held as columns, read-only numpy
+arrays of length r: the coordinates x and y and the stored ordinates Y as
+int64, and on quiz vaults the orientation puzzles beta as float64 (None on
+other vaults).  Point i is (x[i], y[i], Y[i][, beta[i]]); ``Vault.records``
+gives the same points as VaultRecord rows.  Parsing, serialization, the scan
+index and template matching all work on the columns.  Everything an
 experiment needs to evaluate an attack or unlock run lives in the
 GroundTruth sidecar, which no attack code ever reads.
 """
@@ -13,6 +18,8 @@ import json
 import random
 import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -39,6 +46,12 @@ def coord_shift(q: int) -> int:
 
 def concat_coord(x: int, y: int, shift: int) -> int:
     return (x << shift) | y
+
+
+def has_repeats(a: np.ndarray) -> bool:
+    """Whether some value occurs twice in the 1-d array ``a``."""
+    a = np.sort(a)
+    return bool((a[1:] == a[:-1]).any())
 
 
 @dataclass(frozen=True)
@@ -87,18 +100,48 @@ class VaultParams:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Vault:
+    """Public parameters and the point columns (see the module docstring).
+    Columns may be given as any sequences; they are stored as read-only
+    int64 (x, y, Y) and float64 (beta) arrays.  Equality is structural."""
+
     q: int
     k: int
     d: float
     grid: str
     quiz_n: int
-    records: tuple[VaultRecord, ...]
+    x: np.ndarray
+    y: np.ndarray
+    Y: np.ndarray
+    beta: np.ndarray | None = None
+
+    def __post_init__(self):
+        for name, dtype in (("x", np.int64), ("y", np.int64), ("Y", np.int64),
+                            ("beta", np.float64)):
+            if getattr(self, name) is not None:
+                column = np.asarray(getattr(self, name), dtype=dtype)
+                column.flags.writeable = False
+                object.__setattr__(self, name, column)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Vault):
+            return NotImplemented
+        head = (self.q, self.k, self.d, self.grid, self.quiz_n, self.beta is None)
+        columns = ("x", "y", "Y") if self.beta is None else ("x", "y", "Y", "beta")
+        return (head == (other.q, other.k, other.d, other.grid, other.quiz_n, other.beta is None)
+                and all(np.array_equal(getattr(self, name), getattr(other, name))
+                        for name in columns))
 
     @property
     def r(self) -> int:
-        return len(self.records)
+        return len(self.x)
+
+    @cached_property
+    def records(self) -> tuple[VaultRecord, ...]:
+        """The points as VaultRecord rows, built once from the columns."""
+        beta = repeat(None) if self.beta is None else self.beta.tolist()
+        return tuple(map(VaultRecord, self.x.tolist(), self.y.tolist(), self.Y.tolist(), beta))
 
     def quiz_params(self) -> QuizParams | None:
         return QuizParams(self.quiz_n, self.q) if self.quiz_n else None
@@ -272,10 +315,11 @@ def lock_polynomial(
 
     tagged = [(rec, True) for rec in genuine] + [(rec, False) for rec in chaff]
     substream(seed, "shuffle").shuffle(tagged)
-    records = tuple(rec for rec, _ in tagged)
     genuine_indices = tuple(i for i, (_, is_genuine) in enumerate(tagged) if is_genuine)
 
-    vault = Vault(params.q, params.k, params.d, params.grid, params.quiz_n, records)
+    x, y, Y, beta = zip(*((rec.x, rec.y, rec.value, rec.beta) for rec, _ in tagged))
+    vault = Vault(params.q, params.k, params.d, params.grid, params.quiz_n, x, y, Y,
+                  beta if params.quiz_n else None)
     truth = GroundTruth(secret, tuple(coeffs), genuine_indices, params.t, template, seed)
     return vault, truth
 
@@ -324,19 +368,43 @@ def vault_to_json(vault: Vault) -> str:
         f'{{"q": {vault.q}, "k": {vault.k}, "d": {_fmt_d(vault.d)}, '
         f'"grid": "{vault.grid}", "quiz_n": {vault.quiz_n}, "points": ['
     )
-    lines = []
-    for rec in vault.records:
-        if vault.quiz_n:
-            lines.append(
-                f'{{"x": {rec.x}, "y": {rec.y}, "Y": {rec.value}, "beta": {rec.beta:.9f}}}'
-            )
-        else:
-            lines.append(f'{{"x": {rec.x}, "y": {rec.y}, "Y": {rec.value}}}')
-    return head + "\n" + ",\n".join(lines) + "\n]}\n"
+    columns = [vault.x.tolist(), vault.y.tolist(), vault.Y.tolist()]
+    if vault.quiz_n:
+        point = '{{"x": {}, "y": {}, "Y": {}, "beta": {:.9f}}}'
+        columns.append(vault.beta.tolist())
+    else:
+        point = '{{"x": {}, "y": {}, "Y": {}}}'
+    return head + "\n" + ",\n".join(map(point.format, *columns)) + "\n]}\n"
 
 
 class VaultFormatError(ValueError):
     """A vault file whose JSON types or values do not describe a vault."""
+
+
+def _misfits(values: list, kinds: tuple) -> np.ndarray:
+    """Mask of the ``values`` whose type is not one of ``kinds`` (a bool is
+    not an int)."""
+    types = list(map(type, values))
+    if sum(map(types.count, kinds)) == len(types):
+        return np.zeros(len(types), dtype=bool)
+    return ~np.fromiter(map(kinds.__contains__, types), bool, len(types))
+
+
+def _column(values: list, misfit: np.ndarray, dtype, fill) -> np.ndarray:
+    """``values``, ints or floats where ``misfit`` is False, as a ``dtype``
+    array; the misfits and any int that ``dtype`` cannot hold read as
+    ``fill``, a value the parser's range checks refuse."""
+    if not misfit.any():
+        try:
+            return np.array(values, dtype=dtype)
+        except OverflowError:
+            pass
+    column = np.fromiter(values, object, len(values))
+    column[misfit] = 0
+    most = 2**63 - 1 if dtype is np.int64 else sys.float_info.max
+    with np.errstate(invalid="ignore"):  # a NaN beta compares False, quietly
+        column[misfit | (column < -most) | (column > most)] = fill
+    return column.astype(dtype)
 
 
 def vault_from_json(text: str) -> Vault:
@@ -345,7 +413,8 @@ def vault_from_json(text: str) -> Vault:
     number above 0, the grid kind is known, 1 <= k <= r, every point has
     0 <= y < 2**coord_shift(q), x >= 0, an abscissa x || y below q that no
     other point shares and 0 <= Y < q, and points carry a finite beta iff
-    quiz_n > 0."""
+    quiz_n > 0.  Each point check runs as one array predicate over a
+    column; an error quotes the first point in file order that fails."""
     obj = json.loads(text)
     head = ("q", "k", "d", "grid", "quiz_n", "points")
     q, k, d, grid, quiz_n, points = map(obj.get, head) if type(obj) is dict else [None] * 6
@@ -361,25 +430,36 @@ def vault_from_json(text: str) -> Vault:
         raise VaultFormatError(f"unknown grid kind: {grid!r:.40}")
     if not 1 <= k <= len(points):
         raise VaultFormatError(f"vault k={k} is outside 1..r={len(points)}")
-    beta_kinds = (int, float) if quiz_n else (type(None),)
     shift = coord_shift(q)
-    records, abscissae = [], set()
-    for p in points:
-        get = p.get if type(p) is dict else {}.get
-        x, y, Y, beta = get("x"), get("y"), get("Y"), get("beta")
-        if not (type(x) is type(y) is type(Y) is int and 0 <= Y < q and type(beta) in beta_kinds
-                and (beta is None or abs(beta) <= sys.float_info.max)):
-            raise VaultFormatError(f"vault point {p!r:.60} needs int x, y and Y in [0, q={q}) "
-                                   "and a finite beta if and only if quiz_n > 0")
-        X = concat_coord(x, y, shift)
-        if not (0 <= y < 1 << shift and x >= 0 and X < q):
-            raise VaultFormatError(f"vault point {p!r:.60} needs 0 <= y < 2**{shift}, x >= 0 "
-                                   f"and an abscissa x || y below q={q}")
-        abscissae.add(X)
-        records.append(VaultRecord(x, y, Y, beta))
-    if len(abscissae) < len(records):
+    rows = points
+    if list(map(type, points)).count(dict) < len(points):
+        rows = [p if type(p) is dict else {} for p in points]
+    xyY = [value for key in ("x", "y", "Y") for value in map(dict.get, rows, repeat(key))]
+    beta = list(map(dict.get, rows, repeat("beta")))
+    # the x, y and Y columns as one (3, r) block; a misfit, or an int beyond
+    # int64, reads as -1, which a range check refuses
+    misfit = _misfits(xyY, (int,))
+    x, y, Y = _column(xyY, misfit, np.int64, -1).reshape(3, -1)
+    first = misfit.reshape(3, -1).any(axis=0) | (Y < 0) | (Y >= q)
+    if quiz_n:  # a misfit beta reads as NaN
+        beta = _column(beta, _misfits(beta, (int, float)), np.float64, np.nan)
+        first |= ~np.isfinite(beta)
+    else:
+        first |= _misfits(beta, (type(None),))
+        beta = None
+    X = np.minimum(x, q) << shift | y
+    second = (y < 0) | (y >= 1 << shift) | (x < 0) | (X >= q)
+    bad = np.flatnonzero(first | second)
+    if len(bad):
+        i = bad[0]
+        if first[i]:
+            raise VaultFormatError(f"vault point {points[i]!r:.60} needs int x, y and Y in "
+                                   f"[0, q={q}) and a finite beta if and only if quiz_n > 0")
+        raise VaultFormatError(f"vault point {points[i]!r:.60} needs 0 <= y < 2**{shift}, "
+                               f"x >= 0 and an abscissa x || y below q={q}")
+    if has_repeats(X):
         raise VaultFormatError("two vault points share an abscissa x || y")
-    return Vault(q, k, d, grid, quiz_n, tuple(records))
+    return Vault(q, k, d, grid, quiz_n, x, y, Y, beta)
 
 
 def truth_to_json(truth: GroundTruth) -> str:

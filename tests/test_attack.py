@@ -9,7 +9,6 @@ from fuzzyvault import (
     PrimeField,
     Secret,
     VaultIndex,
-    Vault,
     VaultParams,
     VaultRecord,
     brute_force_attack,
@@ -22,7 +21,7 @@ from fuzzyvault import (
     lock_two_fingers,
 )
 from fuzzyvault.attack import _combination_blocks
-from oracles import count_hits_python
+from oracles import count_hits_python, vault_from_records
 
 F = PrimeField()
 
@@ -129,7 +128,7 @@ class TestBruteForce:
         vault, _ = lock(tpl, secret, params, seed=5)
         report = brute_force_attack(vault, mode="crc", bits=32, t_assumed=8, seed=7)
         assert report.success and report.secret == secret
-        assert report.point_checks == 0  # crc rule never scans the vault
+        assert report.point_checks == 0  # point checks count threshold-rule scans only
 
     def test_crc_mode_requires_bits(self):
         _, _, vault, _ = locked()
@@ -172,8 +171,8 @@ class TestSpuriousCounter:
     def test_matches_direct_enumeration_oracle(self):
         vault, truth = self._tiny_vault()
         f17 = PrimeField(17)
-        xs = VaultIndex(vault).xs
-        ys = VaultIndex(vault).ys
+        xs = VaultIndex(vault)._x.tolist()
+        ys = VaultIndex(vault)._y.tolist()
         for t_hits in (1, 2, 3, 4):
             brute = 0
             for coeffs in itertools.product(range(17), repeat=2):
@@ -249,8 +248,8 @@ class TestCorrelation:
 
     def test_point_exactly_eps_away_survives(self):
         def vault(*points):
-            return Vault(F.q, 1, 11.0, "random", 0,
-                         tuple(VaultRecord(x, y, 0) for x, y in points))
+            return vault_from_records(F.q, 1, 11.0, "random", 0,
+                                      [VaultRecord(x, y, 0) for x, y in points])
 
         va, vb = vault((0, 0), (100, 100)), vault((3, 4), (200, 200))
         assert correlate_vaults([va, vb], 5.0) == [(0, 0)]  # distance exactly 5

@@ -384,6 +384,24 @@ class TestWorkers:
         ])
         assert obj["secret_hex"] == "0011223344556677" and obj["trials"] == 5323
 
+    def test_crc_false_pass_is_skipped_for_any_worker_count(self, workdir):
+        # an 80-bit secret fills k = 6, so a wrong candidate passes CRC-16
+        # with odds 2**-16; at seed 23 trial 775 does, on fewer than D = 9
+        # vault records.  The bare CRC predicate (--D 0) stops there with a
+        # wrong secret; the CRC rule skips it and finds the true one in
+        # chunk 6 of 512 trials
+        vault = workdir / "vault_crc80.json"
+        r = run(["lock", "--preset", "small-attack", "--crc", "on",
+                 "--secret-hex", "00112233445566778899", "--template", str(workdir / "tpl15.json"),
+                 "--seed", "9", "-o", str(vault)])
+        assert r.returncode == 0
+        argv = ["attack", "--vault", str(vault), "--mode", "crc", "--bits", "80",
+                "--budget", "30000", "--seed", "23"]
+        bare = self._reports(workdir, [*argv, "--D", "0"], counts=(1,))
+        assert bare["secret_hex"] == "a0fbd5480e3f6e3912da" and bare["trials"] == 775
+        obj = self._reports(workdir, argv, counts=(1, 2))
+        assert obj["secret_hex"] == "00112233445566778899" and obj["trials"] == 2736
+
     @pytest.mark.parametrize("command", ["attack", "unlock"])
     def test_budget_exhausted_report_is_independent_of_worker_count(self, workdir, command):
         # D = r accepts no candidate; a budget of 1300 cuts the last chunk short

@@ -39,10 +39,10 @@ from fuzzyvault.consensus import (
     search,
     stop_rule,
 )
-from fuzzyvault.coding import coeffs_pass_crc, encode_secret
+from fuzzyvault.coding import coeffs_pass_crc, encode_secret, rows_pass_crc
 from fuzzyvault.field import is_prime
-from fuzzyvault.vault import Vault, VaultRecord, coord_shift
-from oracles import count_hits_python
+from fuzzyvault.vault import VaultRecord, coord_shift
+from oracles import count_hits_python, vault_from_records
 
 # matmul_mod splits its left operand into limbs of the widest width w with
 # (k+1) * 2**w * q < 2**53.  At k = 24, 2**24 - 3 is the largest prime whose
@@ -163,11 +163,9 @@ def _vault(q, abscissae, ordinates, quiz_n, k=1):
     """A vault whose records have the given abscissae X = x || y."""
     shift = coord_shift(q)
     mask = (1 << shift) - 1
-    records = tuple(
-        VaultRecord(x >> shift, x & mask, y, 0.0 if quiz_n else None)
-        for x, y in zip(abscissae, ordinates)
-    )
-    return Vault(q, k, 1.0, "random", quiz_n, records)
+    records = [VaultRecord(x >> shift, x & mask, y, 0.0 if quiz_n else None)
+               for x, y in zip(abscissae, ordinates)]
+    return vault_from_records(q, k, 1.0, "random", quiz_n, records)
 
 
 @st.composite
@@ -209,21 +207,22 @@ def test_count_hits_of_the_true_polynomial_at_default_q():
 
 def _oracle_search(index, subsets, D, sweep, bits=None):
     """One candidate at a time through PrimeField.interpolate and the Python
-    scan, or the one-row CRC predicate when ``bits`` is given, in the order
-    the search engine must reproduce."""
+    scan, after the one-row CRC predicate when ``bits`` is given, in the
+    order the search engine must reproduce."""
     q, k, r = index.q, index.k, index.r
     field = PrimeField(q)
     assignments = list(itertools.product(index.offsets, repeat=k)) if sweep else [(0,) * k]
-    checks = r - k if bits is None else 0  # per interpolation; the CRC rule scans nothing
+    checks = r - k if bits is None else 0  # per interpolation; CRC-rule scans are not counted
+    xs, ys = index._x.tolist(), index._y.tolist()
     trials = interps = 0
     for sub in subsets:
         trials += 1
         for offs in assignments:
-            pts = [(index.xs[i], (index.ys[i] + o) % q) for i, o in zip(sub, offs)]
+            pts = [(xs[i], (ys[i] + o) % q) for i, o in zip(sub, offs)]
             coeffs = field.interpolate(pts)
             interps += 1
-            if (count_hits_python(index, coeffs) >= D if bits is None
-                    else coeffs_pass_crc(coeffs, bits)):
+            if ((bits is None or coeffs_pass_crc(coeffs, bits))
+                    and count_hits_python(index, coeffs) >= D):
                 return coeffs, trials, interps, interps * checks
     return None, trials, interps, interps * checks
 
@@ -272,7 +271,7 @@ def test_quiz_sweep_matches_one_candidate_oracle_under_the_crc_rule(budget):
         rng = random.Random(seed)
         subsets = [rng.sample(range(index.r), index.k) for _ in range(budget)]
         got = search(index, None, _one_block(subsets), **rule, sweep=True)
-        assert got == _oracle_search(index, subsets, None, True, bits=32)
+        assert got == _oracle_search(index, subsets, rule["D"], True, bits=32)
         found += got[0] is not None
     assert found == 4 or budget < 10_000
 
@@ -405,12 +404,40 @@ def test_every_worker_count_agrees_under_the_crc_rule(budget):
     stream = []
     for i in range(math.ceil(budget / chunk)):
         stream += _floyd_rows(index.r, index.k, label, chunk, i)[:budget - i * chunk]
-    want = _oracle_search(index, stream, None, False, bits=64)
+    rule = stop_rule(vault, "crc", None, 64)
+    want = _oracle_search(index, stream, rule["D"], False, bits=64)
     assert (want[0] is not None) == (budget == 3000) and want[1] > 2 * chunk
     for workers in (1, 2, 3):
-        got = consensus.search_pool(index, None, budget, chunk, label, workers,
-                                    **stop_rule(vault, "crc", None, 64))
+        got = consensus.search_pool(index, None, budget, chunk, label, workers, **rule)
         assert got == want
+
+
+def test_crc_rule_skips_a_planted_false_pass():
+    # six chaff records moved onto the graph of another secret's CRC
+    # encoding: their subset passes rows_pass_crc with 6 < D = 9 vault hits,
+    # so the CRC rule confirms on the vault, skips it and accepts the next
+    # subset, six genuine records
+    tpl = gen_template(15, seed=6)
+    vault, truth = lock(tpl, Secret.random(64, random.Random(6)),
+                        VaultParams(k=6, t=15, r=40, crc=True), seed=6)
+    wrong = encode_secret(Secret.random(64, random.Random(7)), 6, crc=True, q=vault.q)
+    chaff = [i for i in range(vault.r) if i not in truth.genuine_indices][:6]
+    field = PrimeField(vault.q)
+    records = list(vault.records)
+    for i in chaff:
+        rec = records[i]
+        X = rec.x << coord_shift(vault.q) | rec.y
+        records[i] = VaultRecord(rec.x, rec.y, field.poly_eval(wrong, X))
+    planted = vault_from_records(vault.q, vault.k, vault.d, vault.grid, 0, records)
+    index = VaultIndex(planted)
+    rule = stop_rule(planted, "crc", None, 64)
+    assert rule["D"] == 9 and rows_pass_crc(np.array([wrong]), 64)[0]
+    assert count_hits_python(index, wrong) < 9
+    subsets = [chaff, list(truth.genuine_indices[:6])]
+    got = search(index, None, _one_block(subsets), **rule)
+    assert got == (tuple(truth.coeffs), 2, 2, 0) == _oracle_search(index, subsets, 9, False, 64)
+    # the bare CRC predicate (D = 0) stops on the planted row
+    assert search(index, None, _one_block(subsets), D=0, crc=rule["crc"])[:2] == (tuple(wrong), 1)
 
 
 @pytest.mark.parametrize("bits", [-1, 0, 81, 200])
@@ -530,8 +557,9 @@ def test_a_pool_chunk_past_the_first_interpolates_a_full_batch_first(monkeypatch
 
 
 def _with_points(vault, points):
-    extra = tuple(VaultRecord(p["x"], p["y"], p["Y"]) for p in points)
-    return Vault(vault.q, vault.k, vault.d, vault.grid, vault.quiz_n, vault.records + extra)
+    extra = [VaultRecord(p["x"], p["y"], p["Y"]) for p in points]
+    return vault_from_records(vault.q, vault.k, vault.d, vault.grid, vault.quiz_n,
+                              vault.records + tuple(extra))
 
 
 def test_duplicate_abscissae_rejected_before_search():

@@ -10,7 +10,6 @@ from fuzzyvault import (
     Secret,
     Template,
     UnlockingSet,
-    Vault,
     VaultIndex,
     VaultParams,
     VaultRecord,
@@ -21,6 +20,7 @@ from fuzzyvault import (
     unlock,
 )
 from fuzzyvault.simulate import Minutia
+from oracles import vault_from_records
 
 F = PrimeField()
 
@@ -98,7 +98,8 @@ def greedy_match_oracle(vault, template, tau):
 
 
 def hand_vault(*points):
-    return Vault(F.q, 1, 11.0, "random", 0, tuple(VaultRecord(x, y, 0) for x, y in points))
+    return vault_from_records(F.q, 1, 11.0, "random", 0,
+                              [VaultRecord(x, y, 0) for x, y in points])
 
 
 def hand_template(*points):

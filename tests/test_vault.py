@@ -1,15 +1,17 @@
+import functools
 import json
 import math
 import random
 import statistics
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fuzzyvault import (
     PlacementError,
     PrimeField,
     Secret,
-    Vault,
     VaultIndex,
     VaultParams,
     coord_shift,
@@ -30,6 +32,7 @@ from fuzzyvault import (
     vault_to_json,
 )
 from fuzzyvault.vault import VaultFormatError
+from oracles import parse_points_python, vault_from_records
 
 F = PrimeField()
 
@@ -324,8 +327,64 @@ class TestSerialization:
 
     def test_vault_equality_is_structural(self):
         _, _, vault, _ = small_vault()
-        clone = Vault(vault.q, vault.k, vault.d, vault.grid, vault.quiz_n, vault.records)
+        clone = vault_from_records(vault.q, vault.k, vault.d, vault.grid, vault.quiz_n,
+                                   vault.records)
         assert clone == vault
+
+
+@functools.cache
+def _parse_base(quiz_n):
+    tpl = gen_template(8, seed=2)
+    vault, _ = lock(tpl, Secret.random(40, random.Random(2)),
+                    VaultParams(k=3, t=8, r=30, quiz_n=quiz_n), seed=2)
+    return vault_to_json(vault)
+
+
+_DELETE = object()
+# bool, float, str, None, a deleted key, a negative value, 2**63 (just past
+# int64), 10**30, NaN, inf and 10**400 (past float64 as an int)
+_FIELD_VALUES = [True, False, 1.5, 7.0, "12", None, _DELETE, -1, 2**63, -(2**63) - 1, 10**30,
+                 math.nan, math.inf, -math.inf, 10**400]
+
+
+@given(data=st.data())
+def test_column_checks_match_the_per_point_oracle(data):
+    """One or two point fields set to a hostile value, a beta on a plain
+    vault, a point that is not an object, or a point copied onto another
+    one's abscissa: the column checks of vault_from_json accept exactly the
+    files the per-point oracle accepts, with the same columns, and reject
+    the rest with the same message quoting the same point."""
+    quiz_n = data.draw(st.sampled_from([0, 4]))
+    obj = json.loads(_parse_base(quiz_n))
+    points = obj["points"]
+    for _ in range(data.draw(st.integers(1, 2))):
+        i = data.draw(st.integers(0, len(points) - 1))
+        kind = data.draw(st.sampled_from(["field", "field", "beta", "point", "copy"]))
+        if kind == "point":
+            points[i] = data.draw(st.sampled_from([None, 5, "p", [1, 2], [], True]))
+        elif kind == "copy":
+            points[i] = dict(points[data.draw(st.integers(0, len(points) - 1))])
+        elif type(points[i]) is dict:
+            key = "beta" if kind == "beta" else data.draw(st.sampled_from(["x", "y", "Y", "beta"]))
+            value = data.draw(st.sampled_from(_FIELD_VALUES + [0.5, 3]))
+            if value is _DELETE:
+                points[i].pop(key, None)
+            else:
+                points[i][key] = value
+    text = json.dumps(obj)
+    try:
+        want = parse_points_python(json.loads(text)["points"], obj["q"], quiz_n)
+    except VaultFormatError as exc:
+        want = str(exc)
+    try:
+        got = vault_from_json(text)
+    except VaultFormatError as exc:
+        got = str(exc)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.records == want
+        assert got == vault_from_records(obj["q"], obj["k"], obj["d"], obj["grid"], quiz_n, want)
 
 
 class TestTwoFingers:
