@@ -174,9 +174,9 @@ def correlate_vaults(vaults: list[Vault], eps: float) -> list[tuple[int, int]]:
         raise ValueError("need at least one vault")
     if not eps >= 0:
         raise ValueError(f"correlation radius eps={eps} is not a number >= 0")
-    candidates = np.stack((vaults[0].x, vaults[0].y), axis=1)
+    candidates = np.array((vaults[0].x, vaults[0].y)).T
     for other in vaults[1:]:
-        d2 = squared_distances(candidates, np.stack((other.x, other.y), axis=1))
+        d2 = squared_distances(candidates, np.array((other.x, other.y)).T)
         candidates = candidates[(d2 <= eps * eps).any(axis=1)]
     return list(map(tuple, candidates.tolist()))
 

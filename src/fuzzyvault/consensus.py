@@ -36,7 +36,7 @@ import numpy as np
 
 from .coding import capacity_bits, rows_pass_crc
 from .quiz import transform_offsets
-from .vault import Vault, coord_shift, has_repeats
+from .vault import Vault, coord_shift
 
 # Bound on a batch's largest array (128 KiB): rows x max(r, k*k) under the
 # threshold rule, with its (rows, r) vault values, and rows x k*k under the
@@ -67,7 +67,7 @@ class VaultIndex:
         self._x = (vault.x << coord_shift(vault.q) | vault.y) % self.q
         self._y = vault.Y
         self.r = len(self._x)
-        if has_repeats(self._x):
+        if len(set(self._x.tolist())) < self.r:
             raise ValueError("two vault records share an abscissa X = x || y mod q")
         self._ones = np.ones(self.r)  # per-row hit counts as one BLAS product
         if vault.quiz_n:

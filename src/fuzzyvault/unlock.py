@@ -54,7 +54,7 @@ def build_unlocking_set(vault: Vault, template: Template, tau: float) -> Unlocki
     (distance, record index, minutia index), so the result is deterministic."""
     if not tau >= 0:
         raise ValueError(f"match tolerance tau={tau} is not a number >= 0")
-    d2 = squared_distances(np.stack((vault.x, vault.y), axis=1),
+    d2 = squared_distances(np.array((vault.x, vault.y), dtype=np.float64).T,
                            [(m.x, m.y) for m in template.minutiae])
     ris, mis = np.nonzero(d2 <= tau * tau)
     order = np.lexsort((mis, ris, d2[ris, mis]))
@@ -82,7 +82,7 @@ def _candidate_points(vault: Vault, index: VaultIndex, uset: UnlockingSet) -> np
         js = [recover_index(m.theta, beta, qp.n)
               for (_, m), beta in zip(uset.pairs, vault.beta[ris].tolist())]
         ys = (ys + np.array(js, dtype=np.int64) * qp.step) % qp.q
-    return np.stack((index._x[ris], ys))
+    return np.array((index._x[ris], ys))
 
 
 def consensus_decode(

@@ -48,12 +48,6 @@ def concat_coord(x: int, y: int, shift: int) -> int:
     return (x << shift) | y
 
 
-def has_repeats(a: np.ndarray) -> bool:
-    """Whether some value occurs twice in the 1-d array ``a``."""
-    a = np.sort(a)
-    return bool((a[1:] == a[:-1]).any())
-
-
 @dataclass(frozen=True)
 class VaultRecord:
     x: int
@@ -121,7 +115,7 @@ class Vault:
                             ("beta", np.float64)):
             if getattr(self, name) is not None:
                 column = np.asarray(getattr(self, name), dtype=dtype)
-                column.flags.writeable = False
+                column.setflags(write=False)
                 object.__setattr__(self, name, column)
 
     def __eq__(self, other) -> bool:
@@ -317,9 +311,11 @@ def lock_polynomial(
     substream(seed, "shuffle").shuffle(tagged)
     genuine_indices = tuple(i for i, (_, is_genuine) in enumerate(tagged) if is_genuine)
 
-    x, y, Y, beta = zip(*((rec.x, rec.y, rec.value, rec.beta) for rec, _ in tagged))
-    vault = Vault(params.q, params.k, params.d, params.grid, params.quiz_n, x, y, Y,
-                  beta if params.quiz_n else None)
+    records = [rec for rec, _ in tagged]
+    vault = Vault(params.q, params.k, params.d, params.grid, params.quiz_n,
+                  [rec.x for rec in records], [rec.y for rec in records],
+                  [rec.value for rec in records],
+                  [rec.beta for rec in records] if params.quiz_n else None)
     truth = GroundTruth(secret, tuple(coeffs), genuine_indices, params.t, template, seed)
     return vault, truth
 
@@ -368,37 +364,37 @@ def vault_to_json(vault: Vault) -> str:
         f'{{"q": {vault.q}, "k": {vault.k}, "d": {_fmt_d(vault.d)}, '
         f'"grid": "{vault.grid}", "quiz_n": {vault.quiz_n}, "points": ['
     )
-    columns = [vault.x.tolist(), vault.y.tolist(), vault.Y.tolist()]
+    columns = vault.x.tolist(), vault.y.tolist(), vault.Y.tolist()
     if vault.quiz_n:
-        point = '{{"x": {}, "y": {}, "Y": {}, "beta": {:.9f}}}'
-        columns.append(vault.beta.tolist())
+        lines = [f'{{"x": {x}, "y": {y}, "Y": {Y}, "beta": {beta:.9f}}}'
+                 for x, y, Y, beta in zip(*columns, vault.beta.tolist())]
     else:
-        point = '{{"x": {}, "y": {}, "Y": {}}}'
-    return head + "\n" + ",\n".join(map(point.format, *columns)) + "\n]}\n"
+        lines = [f'{{"x": {x}, "y": {y}, "Y": {Y}}}' for x, y, Y in zip(*columns)]
+    return head + "\n" + ",\n".join(lines) + "\n]}\n"
 
 
 class VaultFormatError(ValueError):
     """A vault file whose JSON types or values do not describe a vault."""
 
 
-def _misfits(values: list, kinds: tuple) -> np.ndarray:
+def _misfits(values: list, kinds: tuple) -> np.ndarray | None:
     """Mask of the ``values`` whose type is not one of ``kinds`` (a bool is
-    not an int)."""
+    not an int), or None when every type fits."""
     types = list(map(type, values))
     if sum(map(types.count, kinds)) == len(types):
-        return np.zeros(len(types), dtype=bool)
+        return None
     return ~np.fromiter(map(kinds.__contains__, types), bool, len(types))
 
 
-def _column(values: list, misfit: np.ndarray, dtype, fill) -> np.ndarray:
-    """``values``, ints or floats where ``misfit`` is False, as a ``dtype``
-    array; the misfits and any int that ``dtype`` cannot hold read as
-    ``fill``, a value the parser's range checks refuse."""
-    if not misfit.any():
+def _column(values: list, misfit: np.ndarray | None, dtype, fill) -> np.ndarray:
+    """``values``, ints or floats except where ``misfit`` (None: nowhere),
+    as a ``dtype`` array; the misfits and any int that ``dtype`` cannot hold
+    read as ``fill``, a value the parser's range checks refuse."""
+    if misfit is None:
         try:
             return np.array(values, dtype=dtype)
         except OverflowError:
-            pass
+            misfit = np.zeros(len(values), dtype=bool)
     column = np.fromiter(values, object, len(values))
     column[misfit] = 0
     most = 2**63 - 1 if dtype is np.int64 else sys.float_info.max
@@ -434,30 +430,38 @@ def vault_from_json(text: str) -> Vault:
     rows = points
     if list(map(type, points)).count(dict) < len(points):
         rows = [p if type(p) is dict else {} for p in points]
-    xyY = [value for key in ("x", "y", "Y") for value in map(dict.get, rows, repeat(key))]
+    xyY = [*map(dict.get, rows, repeat("x")), *map(dict.get, rows, repeat("y")),
+           *map(dict.get, rows, repeat("Y"))]
     beta = list(map(dict.get, rows, repeat("beta")))
     # the x, y and Y columns as one (3, r) block; a misfit, or an int beyond
-    # int64, reads as -1, which a range check refuses
+    # int64, reads as -1, which the range checks refuse
     misfit = _misfits(xyY, (int,))
-    x, y, Y = _column(xyY, misfit, np.int64, -1).reshape(3, -1)
-    first = misfit.reshape(3, -1).any(axis=0) | (Y < 0) | (Y >= q)
+    block = _column(xyY, misfit, np.int64, -1).reshape(3, -1)
+    x, y, Y = block
     if quiz_n:  # a misfit beta reads as NaN
         beta = _column(beta, _misfits(beta, (int, float)), np.float64, np.nan)
-        first |= ~np.isfinite(beta)
+        finite = np.isfinite(beta)
+        beta_bad = None if finite.all() else ~finite
     else:
-        first |= _misfits(beta, (type(None),))
-        beta = None
+        beta_bad, beta = _misfits(beta, (type(None),)), None
     X = np.minimum(x, q) << shift | y
-    second = (y < 0) | (y >= 1 << shift) | (x < 0) | (X >= q)
-    bad = np.flatnonzero(first | second)
-    if len(bad):
-        i = bad[0]
+    # every check at once over the block; the masks below only locate the
+    # first point that fails
+    limits = [[(q >> shift) + 1], [1 << shift], [q]]
+    if not (beta_bad is None and block.min() >= 0 and (block < limits).all() and X.max() < q):
+        first = (Y < 0) | (Y >= q)
+        if misfit is not None:
+            first |= misfit.reshape(3, -1).any(axis=0)
+        if beta_bad is not None:
+            first |= beta_bad
+        second = (y < 0) | (y >= 1 << shift) | (x < 0) | (X >= q)
+        i = np.flatnonzero(first | second)[0]
         if first[i]:
             raise VaultFormatError(f"vault point {points[i]!r:.60} needs int x, y and Y in "
                                    f"[0, q={q}) and a finite beta if and only if quiz_n > 0")
         raise VaultFormatError(f"vault point {points[i]!r:.60} needs 0 <= y < 2**{shift}, "
                                f"x >= 0 and an abscissa x || y below q={q}")
-    if has_repeats(X):
+    if len(set(X.tolist())) < len(X):
         raise VaultFormatError("two vault points share an abscissa x || y")
     return Vault(q, k, d, grid, quiz_n, x, y, Y, beta)
 

@@ -249,7 +249,7 @@ class TestCorrelation:
     def test_point_exactly_eps_away_survives(self):
         def vault(*points):
             return vault_from_records(F.q, 1, 11.0, "random", 0,
-                                      [VaultRecord(x, y, 0) for x, y in points])
+                                      tuple(VaultRecord(x, y, 0) for x, y in points))
 
         va, vb = vault((0, 0), (100, 100)), vault((3, 4), (200, 200))
         assert correlate_vaults([va, vb], 5.0) == [(0, 0)]  # distance exactly 5

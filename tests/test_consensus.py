@@ -163,8 +163,10 @@ def _vault(q, abscissae, ordinates, quiz_n, k=1):
     """A vault whose records have the given abscissae X = x || y."""
     shift = coord_shift(q)
     mask = (1 << shift) - 1
-    records = [VaultRecord(x >> shift, x & mask, y, 0.0 if quiz_n else None)
-               for x, y in zip(abscissae, ordinates)]
+    records = tuple(
+        VaultRecord(x >> shift, x & mask, y, 0.0 if quiz_n else None)
+        for x, y in zip(abscissae, ordinates)
+    )
     return vault_from_records(q, k, 1.0, "random", quiz_n, records)
 
 
@@ -557,9 +559,9 @@ def test_a_pool_chunk_past_the_first_interpolates_a_full_batch_first(monkeypatch
 
 
 def _with_points(vault, points):
-    extra = [VaultRecord(p["x"], p["y"], p["Y"]) for p in points]
+    extra = tuple(VaultRecord(p["x"], p["y"], p["Y"]) for p in points)
     return vault_from_records(vault.q, vault.k, vault.d, vault.grid, vault.quiz_n,
-                              vault.records + tuple(extra))
+                              vault.records + extra)
 
 
 def test_duplicate_abscissae_rejected_before_search():

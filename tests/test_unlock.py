@@ -99,7 +99,7 @@ def greedy_match_oracle(vault, template, tau):
 
 def hand_vault(*points):
     return vault_from_records(F.q, 1, 11.0, "random", 0,
-                              [VaultRecord(x, y, 0) for x, y in points])
+                              tuple(VaultRecord(x, y, 0) for x, y in points))
 
 
 def hand_template(*points):

@@ -5,7 +5,7 @@ import random
 import statistics
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzyvault import (
@@ -341,13 +341,16 @@ def _parse_base(quiz_n):
 
 
 _DELETE = object()
-# bool, float, str, None, a deleted key, a negative value, 2**63 (just past
-# int64), 10**30, NaN, inf and 10**400 (past float64 as an int)
-_FIELD_VALUES = [True, False, 1.5, 7.0, "12", None, _DELETE, -1, 2**63, -(2**63) - 1, 10**30,
-                 math.nan, math.inf, -math.inf, 10**400]
+# bool, float, str, None, a deleted key, a negative value, 256 (y past the
+# frame, or x with an abscissa x || y at or past q = 65537 unless y = 0),
+# q itself, 2**63 (just past int64), 10**30, NaN, inf and 10**400 (past
+# float64 as an int)
+_FIELD_VALUES = [True, False, 1.5, 7.0, "12", None, _DELETE, -1, 256, 65537, 2**63,
+                 -(2**63) - 1, 10**30, math.nan, math.inf, -math.inf, 10**400]
 
 
 @given(data=st.data())
+@settings(max_examples=500)
 def test_column_checks_match_the_per_point_oracle(data):
     """One or two point fields set to a hostile value, a beta on a plain
     vault, a point that is not an object, or a point copied onto another
@@ -363,7 +366,8 @@ def test_column_checks_match_the_per_point_oracle(data):
         if kind == "point":
             points[i] = data.draw(st.sampled_from([None, 5, "p", [1, 2], [], True]))
         elif kind == "copy":
-            points[i] = dict(points[data.draw(st.integers(0, len(points) - 1))])
+            other = points[data.draw(st.integers(0, len(points) - 1))]
+            points[i] = dict(other) if type(other) is dict else other
         elif type(points[i]) is dict:
             key = "beta" if kind == "beta" else data.draw(st.sampled_from(["x", "y", "Y", "beta"]))
             value = data.draw(st.sampled_from(_FIELD_VALUES + [0.5, 3]))
@@ -371,9 +375,29 @@ def test_column_checks_match_the_per_point_oracle(data):
                 points[i].pop(key, None)
             else:
                 points[i][key] = value
+    _assert_parsed_as_by_oracle(obj)
+
+
+@pytest.mark.parametrize("quiz_n", [0, 4])
+@pytest.mark.parametrize("key", ["x", "y", "Y", "beta"])
+def test_each_field_value_matches_the_per_point_oracle(quiz_n, key):
+    """Every value of the list above, and 0.5 and 3, in one field of one
+    point, one at a time: the cases the random draws above may miss."""
+    for value in _FIELD_VALUES + [0.5, 3]:
+        obj = json.loads(_parse_base(quiz_n))
+        if value is _DELETE:
+            obj["points"][0].pop(key, None)
+        else:
+            obj["points"][0][key] = value
+        _assert_parsed_as_by_oracle(obj)
+
+
+def _assert_parsed_as_by_oracle(obj):
+    """vault_from_json accepts the file ``obj`` iff the per-point oracle
+    does, with the same columns, or fails with the same message."""
     text = json.dumps(obj)
     try:
-        want = parse_points_python(json.loads(text)["points"], obj["q"], quiz_n)
+        want = parse_points_python(json.loads(text)["points"], obj["q"], obj["quiz_n"])
     except VaultFormatError as exc:
         want = str(exc)
     try:
@@ -382,9 +406,9 @@ def test_column_checks_match_the_per_point_oracle(data):
         got = str(exc)
     if isinstance(want, str):
         assert got == want
-    else:
-        assert got.records == want
-        assert got == vault_from_records(obj["q"], obj["k"], obj["d"], obj["grid"], quiz_n, want)
+    else:  # the same columns, an int beta as its float64
+        assert got == vault_from_records(obj["q"], obj["k"], obj["d"], obj["grid"],
+                                         obj["quiz_n"], want)
 
 
 class TestTwoFingers:
