@@ -409,8 +409,8 @@ def vault_from_json(text: str) -> Vault:
     number above 0, the grid kind is known, 1 <= k <= r, every point has
     0 <= y < 2**coord_shift(q), x >= 0, an abscissa x || y below q that no
     other point shares and 0 <= Y < q, and points carry a finite beta iff
-    quiz_n > 0.  Each point check runs as one array predicate over a
-    column; an error quotes the first point in file order that fails."""
+    quiz_n > 0.  The points are checked all at once, by column; an error
+    quotes the first point in file order that fails."""
     obj = json.loads(text)
     head = ("q", "k", "d", "grid", "quiz_n", "points")
     q, k, d, grid, quiz_n, points = map(obj.get, head) if type(obj) is dict else [None] * 6
