@@ -206,6 +206,8 @@ def sweep(
     """Evaluate a grid of parameter dicts (keys as in estimate())."""
     if empirical_runs < 0:
         raise ValueError(f"empirical_runs={empirical_runs} is negative")
+    if workers < 1:
+        raise ValueError(f"workers={workers} is below 1")
     out = []
     for row in rows:
         est = estimate(**row)

@@ -10,7 +10,9 @@ matrix product, exact below 2**53 with as many limbs as (q, k) need, one
 for every preset (``matmul_mod``).  Subsets come from one stream of seeded
 chunks, each an (m, k) index array that batches slice, and the first
 accepted row in stream order wins, so results depend neither on the batch
-size nor on the worker count.
+size nor on the worker count.  With more than one worker the calling
+process searches chunks beside forked helper processes, which claim chunk
+numbers from a shared counter and send their results back over pipes.
 
 For quiz vaults the graph test is "any transform index matches": a record
 (X, Y) counts as a hit when (g(X) - Y) mod q is one of the n transform
@@ -27,10 +29,11 @@ import functools
 import hashlib
 import itertools
 import math
+import multiprocessing
 import os
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+import signal
 from functools import partial
+from multiprocessing.connection import wait
 
 import numpy as np
 
@@ -54,6 +57,8 @@ INVERSE_TABLE_Q = 2**17
 # ((n**k, k) coefficients under the CRC rule), 128 MiB at the bound; the
 # attack refuses a larger sweep before searching.
 SWEEP_ELEMENTS = 2**24
+# The caller's bound on taking the lock of the shared chunk counter.
+CLAIM_TIMEOUT_S = 10.0
 
 
 class VaultIndex:
@@ -380,45 +385,120 @@ def _chunk_subsets(n: int, k: int, label: str, chunk: int, budget: int, chunks: 
         yield np.ascontiguousarray(draw[:, :min(chunk, budget - i * chunk)].T, dtype=np.intp)
 
 
-# Worker-side state for the process pool, installed once per process.
-_WORKER: dict = {}
+def usable_cpus() -> int:
+    """CPUs this process may run on: the size of its affinity mask where the
+    platform has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def _init_worker(index: VaultIndex, points, stream: tuple, rule: dict) -> None:
-    _WORKER.update(index=index, points=points, stream=stream, rule=rule)
+def _run_chunk(index: VaultIndex, points, stream: tuple, rule: dict, i: int):
+    """``search`` over chunk ``i`` of the ``_chunk_subsets`` stream."""
+    subsets = _chunk_subsets(*stream, range(i, i + 1))
+    return search(index, points, subsets, **rule, start=i * stream[3])
 
 
-def _run_chunk(i: int):
-    n, k, label, chunk, budget = _WORKER["stream"]
-    subsets = _chunk_subsets(n, k, label, chunk, budget, range(i, i + 1))
-    return search(_WORKER["index"], _WORKER["points"], subsets, **_WORKER["rule"],
-                  start=i * chunk)
+def _next_chunk(state, i: int | None = None, res=None, timeout: float | None = None):
+    """Claim the next chunk number below end, or None, from ``state``, a
+    shared (next, end) pair whose end starts at the chunk count; a result
+    ``res`` of chunk ``i`` that succeeds first lowers end to i + 1, so no
+    chunk past it is claimed.  A claim holds the lock for microseconds; one
+    not taken within ``timeout`` seconds means a helper died holding it."""
+    lock = state.get_lock()
+    if not lock.acquire(timeout=timeout):
+        raise RuntimeError("a search helper stopped while claiming a chunk")
+    try:
+        if res is not None and res[0] is not None:
+            state[1] = min(state[1], i + 1)
+        if state[0] >= state[1]:
+            return None
+        state[0] += 1
+        return state[0] - 1
+    finally:
+        lock.release()
+
+
+def _helper(conn, state, run) -> None:
+    """A helper process: search chunks as it claims them and send back
+    (chunk, result), then None when none is left.  Ctrl-C reaches the whole
+    process group; the caller handles it and stops the helpers."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    i = _next_chunk(state)
+    while i is not None:
+        res = run(i)
+        conn.send((i, res))
+        i = _next_chunk(state, i, res)
+    conn.send(None)
+
+
+def _start_helpers(workers: int, state, run):
+    """Start the ``workers`` - 1 helpers of a search by ``workers`` processes,
+    the caller being one; yields each one's process and the read end of its
+    pipe.  Under fork a helper inherits ``run`` and the caches built so far
+    (``_inverse_table``); under spawn ``run`` is pickled and the caches are
+    built again."""
+    for _ in range(workers - 1):
+        conn, child = multiprocessing.Pipe(duplex=False)
+        proc = multiprocessing.Process(target=_helper, args=(child, state, run), daemon=True)
+        proc.start()
+        child.close()
+        yield proc, conn
 
 
 def search_pool(index: VaultIndex, points, budget: int, chunk: int, label: str, workers: int,
                 **rule):
     """``search`` (keywords ``rule``) over the ``_chunk_subsets`` stream of
-    ``budget`` subsets.  The pool gets min(workers, chunks, CPUs) processes;
-    at one or fewer the chunks run chained in one search, in process.  A
-    pool keeps at most 2 * workers chunks in flight and reads their results
-    in chunk order, summing counters, until the first that succeeds: that
-    chunk holds the first accepted subset of the stream, so the result does
-    not depend on the worker count or on timing.  Fewer than k points give
-    an empty stream."""
+    ``budget`` subsets by min(workers, chunks, usable CPUs) processes, the
+    caller among them; at one or fewer the chunks run chained in one search,
+    in process, and no helper starts.  Each process claims the next chunk
+    number from a shared counter, none past a chunk known to succeed.  The
+    caller reads results in chunk order, summing counters, until the first
+    that succeeds: that chunk holds the first accepted subset of the
+    stream, so the result does not depend on the worker count or on timing.
+    The caller searches whenever the next chunk in order is not ready and
+    a chunk is left to claim, and waits only otherwise.  Every helper is
+    stopped before the call returns or raises.  Fewer than k points give an
+    empty stream."""
+    if workers < 1:
+        raise ValueError(f"workers={workers} is below 1")
     stream = (index.r if points is None else len(points[0]), index.k, label, chunk, budget)
     n_chunks = math.ceil(budget / chunk) if stream[0] >= index.k else 0
-    workers = min(workers, n_chunks, os.cpu_count() or 1)
+    workers = min(workers, n_chunks, usable_cpus())
     if workers <= 1:
         return search(index, points, _chunk_subsets(*stream, range(n_chunks)), **rule)
-    found, totals = None, [0, 0, 0]
-    window, submitted = deque(), 0
-    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                             initargs=(index, points, stream, rule)) as pool:
-        while found is None and (window or submitted < n_chunks):
-            while submitted < n_chunks and len(window) < 2 * workers:
-                window.append(pool.submit(_run_chunk, submitted))
-                submitted += 1
-            found, *counts = window.popleft().result()
-            totals = [a + b for a, b in zip(totals, counts)]
-        pool.shutdown(cancel_futures=True)
-    return (found, *totals)
+    run = partial(_run_chunk, index, points, stream, rule)
+    state = multiprocessing.Array("q", [1, n_chunks])  # chunk 0 is the caller's
+    results, conns, procs = {}, [], []
+    mine = done = 0
+    totals = [0, 0, 0]
+    try:
+        for proc, conn in _start_helpers(workers, state, run):
+            procs.append(proc)
+            conns.append(conn)
+        while True:
+            res = None
+            if mine is not None:
+                results[mine] = res = run(mine)
+            for conn in wait(conns, None if mine is None else 0):
+                if (got := conn.recv()) is None:  # the helper has no chunk left
+                    conns.remove(conn)
+                    conn.close()
+                else:
+                    results[got[0]] = got[1]
+            while done in results:
+                found, *counts = results.pop(done)
+                totals = [a + b for a, b in zip(totals, counts)]
+                done += 1
+                if found is not None or done == n_chunks:
+                    return (found, *totals)
+            mine = _next_chunk(state, mine, res, CLAIM_TIMEOUT_S)
+    except EOFError:
+        raise RuntimeError("a search helper exited before returning its chunks") from None
+    finally:
+        for proc in procs:
+            proc.kill()
+        for proc in procs:
+            proc.join()
+        for conn in conns:
+            conn.close()

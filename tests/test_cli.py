@@ -162,8 +162,13 @@ class TestNegativeValues:
          "empirical_runs=-2 is negative"),
         (["correlate", "--eps", "-3"], "eps=-3.0 is not a number >= 0"),
         (["correlate", "--eps", "nan"], "eps=nan is not a number >= 0"),
+        (["attack", "--budget", "1300", "--workers", "0"], "workers=0 is below 1"),
+        (["unlock", "--workers", "-3"], "workers=-3 is below 1"),
+        (["sweep", "--r", "30", "--t", "8", "--k", "3", "--workers", "0"],
+         "workers=0 is below 1"),
     ], ids=["unlock-tau", "unlock-tau-nan", "unlock-budget", "attack-budget",
-            "exhaustive-budget", "sweep-runs", "correlate-eps", "correlate-eps-nan"])
+            "exhaustive-budget", "sweep-runs", "correlate-eps", "correlate-eps-nan",
+            "attack-workers", "unlock-workers", "sweep-workers"])
     def test_negative_value_is_a_parameter_error(self, workdir, argv, message):
         # sweep gets no --seed, so no seed line precedes the error
         if argv[0] == "correlate":

@@ -5,11 +5,11 @@ import functools
 import hashlib
 import itertools
 import math
+import multiprocessing
 import os
 import random
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -549,12 +549,11 @@ def test_a_pool_chunk_past_the_first_interpolates_a_full_batch_first(monkeypatch
         return interpolate(xs, ys, q)
 
     monkeypatch.setattr(consensus, "interpolate", spy)
-    monkeypatch.setattr(consensus, "_WORKER", {})
-    consensus._init_worker(index, None, (index.r, index.k, "1/attack-chunk", 512, 4 * 512),
-                           dict(D=index.r, crc=None))
+    stream = (index.r, index.k, "1/attack-chunk", 512, 4 * 512)
     for i in range(4):
         rows.clear()
-        assert consensus._run_chunk(i)[:2] == (None, 512)
+        assert consensus._run_chunk(index, None, stream, dict(D=index.r, crc=None), i)[:2] == (
+            None, 512)
         assert rows == ([1, 2, 4, 8, 16, 32, 64, 128, 256, 1] if i == 0 else [cap, 512 - cap])
 
 
@@ -580,19 +579,31 @@ def test_duplicate_abscissae_rejected_before_search():
             unlock(bad, tpl, D=9, bits=64, seed=0)
 
 
-class _CountingExecutor(ProcessPoolExecutor):
-    submits = 0
+class _CountingChunks:
+    """Counts the chunks searched by the caller and its helpers: helpers
+    forked after the patch run the counting ``_run_chunk`` and add to the
+    shared count.  Two usable CPUs make a two-worker call start a helper on
+    any machine."""
 
-    def submit(self, *args, **kwargs):
-        type(self).submits += 1
-        return super().submit(*args, **kwargs)
+    def __init__(self, monkeypatch):
+        self._count = multiprocessing.Value("i", 0)
+        self._run_chunk = consensus._run_chunk
+        monkeypatch.setattr(consensus, "_run_chunk", self._counting)
+        monkeypatch.setattr(consensus, "usable_cpus", lambda: 2)
+
+    def _counting(self, *args):
+        with self._count.get_lock():
+            self._count.value += 1
+        return self._run_chunk(*args)
+
+    @property
+    def submits(self):
+        return self._count.value
 
 
 @pytest.fixture
 def counting_pool(monkeypatch):
-    monkeypatch.setattr(_CountingExecutor, "submits", 0)
-    monkeypatch.setattr(consensus, "ProcessPoolExecutor", _CountingExecutor)
-    return _CountingExecutor
+    return _CountingChunks(monkeypatch)
 
 
 def _no_chaff():
@@ -644,19 +655,20 @@ class _Refused(Exception):
 
 
 class _NoPool:
-    """Records the pool size asked for and refuses before any process starts."""
+    """Records the number of searching processes asked for and refuses
+    before any helper starts."""
 
     sizes: list = []
 
-    def __init__(self, max_workers, **kwargs):
-        self.sizes.append(max_workers)
+    def __init__(self, workers, *args):
+        self.sizes.append(workers)
         raise _Refused
 
 
 @pytest.fixture
 def no_pool(monkeypatch):
     monkeypatch.setattr(_NoPool, "sizes", [])
-    monkeypatch.setattr(consensus, "ProcessPoolExecutor", _NoPool)
+    monkeypatch.setattr(consensus, "_start_helpers", _NoPool)
     return _NoPool
 
 
@@ -674,10 +686,97 @@ def test_no_pool_starts_for_fewer_than_two_chunks(no_pool, points, budget):
 
 def test_pool_size_is_capped_by_the_cpu_count(no_pool):
     index = _quiz_index(0)
-    cpus = os.cpu_count() or 1
+    cpus = consensus.usable_cpus()
     budget = 2 * cpus * 512  # more chunks than CPUs
     if cpus >= 2:
         with pytest.raises(_Refused):
             consensus.search_pool(index, None, budget, 512, "0/attack-chunk", 10**6, D=index.r,
                                   crc=None)
     assert no_pool.sizes == ([cpus] if cpus >= 2 else [])
+
+
+def test_usable_cpus_counts_the_affinity_mask():
+    if hasattr(os, "sched_getaffinity"):
+        assert consensus.usable_cpus() == len(os.sched_getaffinity(0))
+    else:
+        assert consensus.usable_cpus() == (os.cpu_count() or 1)
+
+
+def _in_helper():
+    return multiprocessing.parent_process() is not None
+
+
+def _no_success():
+    # D = r accepts no candidate of this 60-record vault
+    tpl = gen_template(15, seed=1)
+    vault, _ = lock(tpl, Secret.random(64, random.Random(1)), VaultParams(k=6, t=15, r=60),
+                    seed=1)
+    return vault
+
+
+@pytest.mark.parametrize("outcome", ["success", "exhaustion", "error"])
+def test_no_helper_outlives_the_call(counting_pool, monkeypatch, outcome):
+    vault = _no_chaff()[2] if outcome == "success" else _no_success()
+    if outcome == "error":
+        real = consensus._run_chunk
+
+        def fails_in_the_caller(*args):  # after the helper has started
+            if not _in_helper():
+                raise _Refused
+            return real(*args)
+
+        # a helper left running would search for seconds, then block on its full pipe
+        monkeypatch.setattr(consensus, "_run_chunk", fails_in_the_caller)
+        start = time.perf_counter()
+        with pytest.raises(_Refused):
+            brute_force_attack(vault, D=vault.r, budget=10**6, seed=3, workers=2)
+        assert time.perf_counter() - start < 2
+    else:
+        D = 9 if outcome == "success" else vault.r
+        report = brute_force_attack(vault, D=D, budget=1300, bits=64, seed=3, workers=2)
+        assert report.success == (outcome == "success")
+        assert counting_pool.submits >= 1
+    assert multiprocessing.active_children() == []
+
+
+def test_a_helper_that_raises_fails_the_search_quickly(counting_pool, monkeypatch):
+    vault = _no_success()
+    real = consensus._run_chunk
+
+    def fails_in_a_helper(*args):
+        if _in_helper():
+            raise _Refused
+        return real(*args)
+
+    monkeypatch.setattr(consensus, "_run_chunk", fails_in_a_helper)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="helper exited"):
+        brute_force_attack(vault, D=vault.r, budget=10**6, seed=3, workers=2)
+    assert time.perf_counter() - start < 10
+    assert multiprocessing.active_children() == []
+
+
+def test_a_slow_helper_leaves_the_chunks_to_the_caller(monkeypatch):
+    # the stream succeeds in chunk 16 of 40 subsets; the helper claims chunk
+    # 1 and holds it for half a second, so the caller searches 0 and 2 to 16
+    # and then waits for it
+    tpl = gen_template(15, seed=6)
+    vault, _ = lock(tpl, Secret.random(64, random.Random(6)), VaultParams(k=6, t=15, r=40),
+                    seed=6)
+    index = VaultIndex(vault)
+    want = consensus.search_pool(index, None, 3000, 40, "6/attack-chunk", 1, D=9, crc=None)
+    real, mine = consensus._run_chunk, []
+
+    def slow_in_a_helper(*args):
+        if _in_helper():
+            time.sleep(0.5)
+        else:
+            mine.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(consensus, "_run_chunk", slow_in_a_helper)
+    monkeypatch.setattr(consensus, "usable_cpus", lambda: 2)
+    got = consensus.search_pool(index, None, 3000, 40, "6/attack-chunk", 2, D=9, crc=None)
+    assert got == want and want[0] is not None
+    assert mine == [0, *range(2, 17)]
+    assert multiprocessing.active_children() == []
