@@ -757,9 +757,9 @@ def test_a_helper_that_raises_fails_the_search_quickly(counting_pool, monkeypatc
 
 
 def test_a_slow_helper_leaves_the_chunks_to_the_caller(monkeypatch):
-    # the stream succeeds in chunk 16 of 40 subsets; the helper claims chunk
-    # 1 and holds it for half a second, so the caller searches 0 and 2 to 16
-    # and then waits for it
+    # the stream succeeds in chunk 16 of 40 subsets; the helper holds each
+    # chunk it claims for half a second, so the caller searches every chunk
+    # up to the winner but that one, none past it, and then waits
     tpl = gen_template(15, seed=6)
     vault, _ = lock(tpl, Secret.random(64, random.Random(6)), VaultParams(k=6, t=15, r=40),
                     seed=6)
@@ -778,5 +778,5 @@ def test_a_slow_helper_leaves_the_chunks_to_the_caller(monkeypatch):
     monkeypatch.setattr(consensus, "usable_cpus", lambda: 2)
     got = consensus.search_pool(index, None, 3000, 40, "6/attack-chunk", 2, D=9, crc=None)
     assert got == want and want[0] is not None
-    assert mine == [0, *range(2, 17)]
+    assert mine[0] == 0 and len(mine) >= 16 and set(mine) <= set(range(17))
     assert multiprocessing.active_children() == []
