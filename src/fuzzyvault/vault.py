@@ -377,40 +377,30 @@ class VaultFormatError(ValueError):
     """A vault file whose JSON types or values do not describe a vault."""
 
 
-def _misfits(values: list, kinds: tuple) -> np.ndarray | None:
-    """Mask of the ``values`` whose type is not one of ``kinds`` (a bool is
-    not an int), or None when every type fits."""
-    types = list(map(type, values))
-    if sum(map(types.count, kinds)) == len(types):
-        return None
-    return ~np.fromiter(map(kinds.__contains__, types), bool, len(types))
-
-
-def _column(values: list, misfit: np.ndarray | None, dtype, fill) -> np.ndarray:
-    """``values``, ints or floats except where ``misfit`` (None: nowhere),
-    as a ``dtype`` array; the misfits and any int that ``dtype`` cannot hold
-    read as ``fill``, a value the parser's range checks refuse."""
-    if misfit is None:
-        try:
-            return np.array(values, dtype=dtype)
-        except OverflowError:
-            misfit = np.zeros(len(values), dtype=bool)
-    column = np.fromiter(values, object, len(values))
-    column[misfit] = 0
-    most = 2**63 - 1 if dtype is np.int64 else sys.float_info.max
-    with np.errstate(invalid="ignore"):  # a NaN beta compares False, quietly
-        column[misfit | (column < -most) | (column > most)] = fill
-    return column.astype(dtype)
+def _refuse_first_point(points: list, q: int, shift: int, beta_kinds: tuple) -> None:
+    """Raise VaultFormatError quoting the first point, in file order, that
+    breaks the point rule; vault_from_json calls it only on refused points."""
+    for p in points:
+        get = p.get if type(p) is dict else {}.get
+        x, y, Y, beta = get("x"), get("y"), get("Y"), get("beta")
+        if not (type(x) is type(y) is type(Y) is int and 0 <= Y < q and type(beta) in beta_kinds
+                and (beta is None or abs(beta) <= sys.float_info.max)):
+            raise VaultFormatError(f"vault point {p!r:.60} needs int x, y and Y in [0, q={q}) "
+                                   "and a finite beta if and only if quiz_n > 0")
+        if not (0 <= y < 1 << shift and x >= 0 and concat_coord(x, y, shift) < q):
+            raise VaultFormatError(f"vault point {p!r:.60} needs 0 <= y < 2**{shift}, x >= 0 "
+                                   f"and an abscissa x || y below q={q}")
 
 
 def vault_from_json(text: str) -> Vault:
     """Parse a vault file.  Raises VaultFormatError unless the JSON types are
     right (a bool is not an int), q is a prime below 2**31, d is a finite
-    number above 0, the grid kind is known, 1 <= k <= r, every point has
-    0 <= y < 2**coord_shift(q), x >= 0, an abscissa x || y below q that no
-    other point shares and 0 <= Y < q, and points carry a finite beta iff
-    quiz_n > 0.  The points are checked all at once, by column; an error
-    quotes the first point in file order that fails."""
+    number above 0, the grid kind is known, 1 <= k <= r, quiz_n is 0 or in
+    2..q, every point has 0 <= y < 2**coord_shift(q), x >= 0, an abscissa
+    x || y below q that no other point shares and 0 <= Y < q, and points
+    carry a finite beta iff quiz_n > 0.  The points are accepted by column,
+    all at once; only a refused file is walked point by point, so that the
+    error quotes the first point in file order that fails."""
     obj = json.loads(text)
     head = ("q", "k", "d", "grid", "quiz_n", "points")
     q, k, d, grid, quiz_n, points = map(obj.get, head) if type(obj) is dict else [None] * 6
@@ -426,6 +416,8 @@ def vault_from_json(text: str) -> Vault:
         raise VaultFormatError(f"unknown grid kind: {grid!r:.40}")
     if not 1 <= k <= len(points):
         raise VaultFormatError(f"vault k={k} is outside 1..r={len(points)}")
+    if not (quiz_n == 0 or 2 <= quiz_n <= q):
+        raise VaultFormatError(f"vault quiz_n={quiz_n} is neither 0 nor in 2..q={q}")
     shift = coord_shift(q)
     rows = points
     if list(map(type, points)).count(dict) < len(points):
@@ -433,34 +425,20 @@ def vault_from_json(text: str) -> Vault:
     xyY = [*map(dict.get, rows, repeat("x")), *map(dict.get, rows, repeat("y")),
            *map(dict.get, rows, repeat("Y"))]
     beta = list(map(dict.get, rows, repeat("beta")))
-    # the x, y and Y columns as one (3, r) block; a misfit, or an int beyond
-    # int64, reads as -1, which the range checks refuse
-    misfit = _misfits(xyY, (int,))
-    block = _column(xyY, misfit, np.int64, -1).reshape(3, -1)
-    x, y, Y = block
-    if quiz_n:  # a misfit beta reads as NaN
-        beta = _column(beta, _misfits(beta, (int, float)), np.float64, np.nan)
-        finite = np.isfinite(beta)
-        beta_bad = None if finite.all() else ~finite
-    else:
-        beta_bad, beta = _misfits(beta, (type(None),)), None
-    X = np.minimum(x, q) << shift | y
-    # every check at once over the block; the masks below only locate the
-    # first point that fails
-    limits = [[(q >> shift) + 1], [1 << shift], [q]]
-    if not (beta_bad is None and block.min() >= 0 and (block < limits).all() and X.max() < q):
-        first = (Y < 0) | (Y >= q)
-        if misfit is not None:
-            first |= misfit.reshape(3, -1).any(axis=0)
-        if beta_bad is not None:
-            first |= beta_bad
-        second = (y < 0) | (y >= 1 << shift) | (x < 0) | (X >= q)
-        i = np.flatnonzero(first | second)[0]
-        if first[i]:
-            raise VaultFormatError(f"vault point {points[i]!r:.60} needs int x, y and Y in "
-                                   f"[0, q={q}) and a finite beta if and only if quiz_n > 0")
-        raise VaultFormatError(f"vault point {points[i]!r:.60} needs 0 <= y < 2**{shift}, "
-                               f"x >= 0 and an abscissa x || y below q={q}")
+    kinds = (int, float) if quiz_n else (type(None),)
+    fits = (list(map(type, xyY)).count(int) == len(xyY)
+            and sum(map(list(map(type, beta)).count, kinds)) == len(beta))
+    try:  # an int beyond int64, or past float64 as a beta, raises OverflowError
+        if fits:  # the whole point rule at once; X < q also bounds x
+            x, y, Y = block = np.array(xyY, dtype=np.int64).reshape(3, -1)
+            beta = np.array(beta, dtype=np.float64) if quiz_n else None
+            X = np.minimum(x, q) << shift | y
+            fits = (block.min() >= 0 and y.max() < 1 << shift and Y.max() < q and X.max() < q
+                    and (beta is None or np.isfinite(beta).all()))
+    except OverflowError:
+        fits = False
+    if not fits:
+        _refuse_first_point(points, q, shift, kinds)
     if len(set(X.tolist())) < len(X):
         raise VaultFormatError("two vault points share an abscissa x || y")
     return Vault(q, k, d, grid, quiz_n, x, y, Y, beta)

@@ -484,6 +484,29 @@ class TestVaultFormat:
         assert r.stderr.startswith("error:") and len(r.stderr.splitlines()) == 1
         assert message in r.stderr
 
+    @pytest.mark.parametrize("quiz_n", [1, -3, 70000])
+    @pytest.mark.parametrize("command", ["attack", "unlock", "correlate"])
+    def test_quiz_n_no_vault_can_have_is_a_format_error(self, workdir, command, quiz_n):
+        # a 30-point quiz vault whose quiz_n is outside 0 and 2..q
+        quiz = workdir / "quiz30.json"
+        if not quiz.exists():
+            r = run(["lock", "--k", "3", "--t", "8", "--r", "30", "--quiz-n", "4",
+                     "--template", str(workdir / "tpl15.json"), "--seed", "5", "-o", str(quiz)])
+            assert r.returncode == 0
+        path = workdir / "quiz_n_outside.json"
+        path.write_text(json.dumps(_set("quiz_n", quiz_n)(json.loads(quiz.read_text()))))
+        argv = {
+            "attack": ["attack", "--vault", str(path), "--D", "6", "--budget", "10",
+                       "--seed", "1"],
+            "unlock": ["unlock", "--vault", str(path), "--template", str(workdir / "tpl15.json"),
+                       "--bits", "40", "--seed", "1"],
+            "correlate": ["correlate", "--vaults", str(path), str(quiz), "--eps", "3"],
+        }[command]
+        r = run(argv)
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr.startswith("error:") and len(r.stderr.splitlines()) == 1
+        assert f"quiz_n={quiz_n} is neither 0 nor in 2..q=65537" in r.stderr
+
 
 def _minutia(field, value):
     def mutate(template):

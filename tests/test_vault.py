@@ -411,6 +411,30 @@ def _assert_parsed_as_by_oracle(obj):
                                          obj["quiz_n"], want)
 
 
+def test_valid_vault_files_never_reach_the_per_point_loop(monkeypatch):
+    """A vault of every preset, a quiz vault and a hex vault parse back to
+    themselves by the column check alone: the per-point loop that words a
+    refusal is never called on a file the parser accepts."""
+    vaults = []
+    for name in ("clancy", "uludag", "small-attack"):
+        preset = get_preset(name)
+        params = vault_params(preset)
+        secret = Secret.random(preset.secret_bits, random.Random(4))
+        vaults.append(lock(gen_template(60, seed=6), secret, params, seed=6)[0])
+    quiz = VaultParams(k=3, t=8, r=30, quiz_n=4)
+    vaults.append(lock(gen_template(8, seed=2), Secret.random(40, random.Random(2)), quiz,
+                       seed=2)[0])
+    vaults.append(small_vault(grid="hex")[2])
+
+    def refuse(*args):
+        raise AssertionError("a valid vault file fell back to the per-point loop")
+
+    monkeypatch.setattr("fuzzyvault.vault._refuse_first_point", refuse)
+    for vault in vaults:
+        assert vault_from_json(vault_to_json(vault)) == vault
+    assert [vault.r for vault in vaults[:4]] == [313, 200, 60, 30]
+
+
 class TestTwoFingers:
     def test_split_xor_recomposes(self):
         secret = Secret.random(64, random.Random(3))
