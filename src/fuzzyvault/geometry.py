@@ -1,8 +1,9 @@
-"""Plane geometry helpers: minimum-distance point sets and the hexagonal
+"""Plane geometry helpers: minimum-distance pixel sampling and the hexagonal
 chaff lattice with nearest-site quantization."""
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -14,6 +15,8 @@ MAX_PLACEMENT_TRIES = 10_000
 # Bound on len(a) * len(b) for squared_distances, two float64 arrays of 64
 # MiB; correlating two hex vaults at d = 7.5 takes about 1.8M pairs.
 MAX_PAIRS = 2**23
+# Bound on width * height for PointGrid, whose mask holds one byte a pixel.
+MAX_FRAME_PIXELS = 2**24
 
 
 class PlacementError(RuntimeError):
@@ -45,43 +48,52 @@ def squared_distances(a, b) -> np.ndarray:
 
 
 class PointGrid:
-    """Bucketed point set for O(1) neighbourhood queries.
+    """A uint8 mask of the pixels of a width x height frame strictly closer than
+    dist to an added point, padded by that disk's reach on every side."""
 
-    The bucket size must be >= the largest query radius, so that a 3x3
-    bucket neighbourhood always covers the query disk.
-    """
+    def __init__(self, width: int, height: int, dist: float):
+        if width * height > MAX_FRAME_PIXELS:
+            raise ValueError(f"a {width}x{height} frame exceeds the bound of "
+                             f"{MAX_FRAME_PIXELS} pixels")
+        self.width, self.height = width, height
+        self._disk = _disk(dist, width, height)
+        rx, ry = (side // 2 for side in self._disk.shape)
+        self._mask = np.zeros((width + 2 * rx, height + 2 * ry), dtype=np.uint8)
+        self._frame = memoryview(self._mask[rx:rx + width, ry:ry + height])
 
-    def __init__(self, cell: float):
-        self.cell = float(cell)
-        self._cells: dict[tuple[int, int], list[tuple[float, float]]] = {}
+    def add(self, x: int, y: int) -> None:
+        if not (0 <= x < self.width and 0 <= y < self.height):
+            raise ValueError(f"pixel ({x}, {y}) is outside the {self.width}x{self.height} frame")
+        dx, dy = self._disk.shape
+        self._mask[x:x + dx, y:y + dy] |= self._disk
 
-    def add(self, x: float, y: float) -> None:
-        key = (int(x // self.cell), int(y // self.cell))
-        self._cells.setdefault(key, []).append((x, y))
+    def too_close(self, x: int, y: int) -> int:
+        """1 when some added point lies strictly closer than dist, else 0."""
+        return self._frame[x, y]
 
-    def too_close(self, x: float, y: float, dist: float) -> bool:
-        """True when some stored point lies strictly closer than dist."""
-        d2 = dist * dist
-        cx, cy = int(x // self.cell), int(y // self.cell)
-        for i in (cx - 1, cx, cx + 1):
-            for j in (cy - 1, cy, cy + 1):
-                for px, py in self._cells.get((i, j), ()):
-                    dx, dy = px - x, py - y
-                    if dx * dx + dy * dy < d2:
-                        return True
-        return False
-
-    def place(self, width: int, height: int, dist: float, rng) -> tuple[int, int] | None:
-        """Draw pixels (x, then y) uniformly from a width x height frame until
-        no stored point lies closer than dist; add and return that pixel, or
-        None after MAX_PLACEMENT_TRIES draws."""
+    def place(self, rng) -> tuple[int, int] | None:
+        """Draw pixels (x, then y) uniformly from the frame until no added
+        point lies closer than dist; add and return that pixel, or None after
+        MAX_PLACEMENT_TRIES draws."""
         for _ in range(MAX_PLACEMENT_TRIES):
-            x = rng.randrange(width)
-            y = rng.randrange(height)
-            if not self.too_close(x, y, dist):
+            x = rng.randrange(self.width)
+            y = rng.randrange(self.height)
+            if not self.too_close(x, y):
                 self.add(x, y)
                 return x, y
         return None
+
+
+@functools.lru_cache(maxsize=4)
+def _disk(dist: float, width: int, height: int) -> np.ndarray:
+    """The read-only uint8 disk of offsets with dx**2 + dy**2 < dist**2, its
+    reach clipped to the offsets a width x height frame can hold."""
+    rx, ry = (side - 1 if not dist < side else max(math.ceil(dist) - 1, 0)
+              for side in (width, height))
+    dx, dy = np.arange(-rx, rx + 1)[:, None], np.arange(-ry, ry + 1)
+    disk = (dx * dx + dy * dy < dist * dist).astype(np.uint8)
+    disk.setflags(write=False)
+    return disk
 
 
 class HexLattice:

@@ -71,10 +71,10 @@ def gen_template(
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = as_rng(seed)
-    grid = PointGrid(max(d_min, 1.0))
+    grid = PointGrid(width, height, d_min)
     minutiae = []
     for _ in range(count):
-        placed = grid.place(width, height, d_min, rng)
+        placed = grid.place(rng)
         if placed is None:
             raise PlacementError(
                 f"placed only {len(minutiae)} of {count} minutiae at d_min={d_min} "

@@ -170,9 +170,15 @@ def make_genuine_set(
     return records, chosen
 
 
-def _off_graph_value(field: PrimeField, graph_value: int, rng: random.Random) -> int:
-    v = rng.randrange(field.q - 1)
-    return v + 1 if v >= graph_value else v
+def _graph_values(coeffs, q: int, shift: int, x, y) -> np.ndarray:
+    """f(x[i] || y[i]) mod q for f = coeffs (constant first), by one int64
+    Horner pass over all abscissae; with q < 2**31 every product stays
+    below q**2 < 2**62."""
+    X = (np.array(x, dtype=np.int64) << shift | np.array(y, dtype=np.int64)) % q
+    g = np.zeros_like(X)
+    for c in reversed(coeffs):
+        g = (g * X + c % q) % q
+    return g
 
 
 def gen_chaff_random(
@@ -187,27 +193,28 @@ def gen_chaff_random(
 ) -> list[VaultRecord]:
     """Rejection-sampled uniform chaff: r - len(existing) points, all pairwise
     and against-existing distances >= d, ordinates uniform off the graph."""
-    field = PrimeField(q)
-    shift = coord_shift(q)
+    PrimeField(q)  # refuses a modulus outside [2, 2**31) before any draw
     target = r - len(existing)
     if target < 0:
         raise ValueError("target vault size r is smaller than the existing point count")
-    grid = PointGrid(max(d, 1.0))
+    grid = PointGrid(width, height, d)
     for x, y in existing:
         grid.add(x, y)
-    records = []
+    xs, ys, vs = [], [], []
     for _ in range(target):
-        placed = grid.place(width, height, d, rng)
+        placed = grid.place(rng)
         if placed is None:
             raise PlacementError(
-                f"packing saturated: placed {len(records)} of {target} chaff points "
+                f"packing saturated: placed {len(xs)} of {target} chaff points "
                 f"at d={d} in {width}x{height}",
-                placed=len(records),
+                placed=len(xs),
             )
-        x, y = placed
-        graph_value = field.poly_eval(coeffs, concat_coord(x, y, shift))
-        records.append(VaultRecord(x, y, _off_graph_value(field, graph_value, rng)))
-    return records
+        xs.append(placed[0])
+        ys.append(placed[1])
+        vs.append(rng.randrange(q - 1))
+    v = np.array(vs, dtype=np.int64)
+    v += v >= _graph_values(coeffs, q, coord_shift(q), xs, ys)
+    return list(map(VaultRecord, xs, ys, v.tolist()))
 
 
 def gen_chaff_hexgrid(
@@ -227,7 +234,7 @@ def gen_chaff_hexgrid(
     nearest-pixel position of their site; snapping displacement is bounded
     by the cell circumradius d/sqrt(3) (measured in lattice coordinates).
     """
-    field = PrimeField(q)
+    PrimeField(q)  # refuses a modulus outside [2, 2**31) before any draw
     shift = coord_shift(q)
     lattice = HexLattice(width, height, d, lattice_seed)
     if len(lattice.sites) < len(minutiae):
@@ -239,11 +246,14 @@ def gen_chaff_hexgrid(
     pixels = [(round(x), round(y)) for x, y in lattice.sites]
     if len(set(pixels)) != len(pixels):
         raise ValueError(f"lattice spacing d={d} too small for pixel quantization")
-    values = [field.poly_eval(coeffs, concat_coord(x, y, shift)) for x, y in pixels]
+    g = _graph_values(coeffs, q, shift, *zip(*pixels))
     taken = {idx for idx, _ in assignments}
+    free = [idx for idx in range(len(pixels)) if idx not in taken]
+    v = np.array([rng.randrange(q - 1) for _ in free], dtype=np.int64)
+    v += v >= g[free]
+    values = g.tolist()
     genuine = [VaultRecord(*pixels[idx], values[idx]) for idx, _ in assignments]
-    chaff = [VaultRecord(*pixels[idx], _off_graph_value(field, values[idx], rng))
-             for idx in range(len(pixels)) if idx not in taken]
+    chaff = [VaultRecord(*pixels[idx], Y) for idx, Y in zip(free, v.tolist())]
     return genuine, chaff
 
 
@@ -431,10 +441,12 @@ def vault_from_json(text: str) -> Vault:
     try:  # an int beyond int64, or past float64 as a beta, raises OverflowError
         if fits:  # the whole point rule at once; X < q also bounds x
             x, y, Y = block = np.array(xyY, dtype=np.int64).reshape(3, -1)
+            # compared in Python: float64 rounds an int just past its largest value down to it
+            finite = not quiz_n or all(map(sys.float_info.max.__ge__, map(abs, beta)))
             beta = np.array(beta, dtype=np.float64) if quiz_n else None
             X = np.minimum(x, q) << shift | y
-            fits = (block.min() >= 0 and y.max() < 1 << shift and Y.max() < q and X.max() < q
-                    and (beta is None or np.isfinite(beta).all()))
+            fits = (finite and block.min() >= 0 and y.max() < 1 << shift and Y.max() < q
+                    and X.max() < q)
     except OverflowError:
         fits = False
     if not fits:

@@ -3,6 +3,8 @@ place where tests build a ``Vault`` from per-point records."""
 
 import sys
 
+from fuzzyvault.field import PrimeField
+from fuzzyvault.geometry import MAX_PLACEMENT_TRIES, PlacementError
 from fuzzyvault.vault import Vault, VaultFormatError, VaultRecord, concat_coord, coord_shift
 
 
@@ -58,3 +60,64 @@ def count_hits_python(index, coeffs) -> int:
         else:
             hits += (v - y) % q in offsets
     return hits
+
+
+class BucketGrid:
+    """Bucketed point set with a 3x3 bucket neighbourhood query: the oracle
+    for the pixel mask of ``geometry.PointGrid``.  The bucket size must be
+    >= the largest query radius, so that the neighbourhood covers the disk."""
+
+    def __init__(self, cell: float):
+        self.cell = float(cell)
+        self._cells: dict[tuple[int, int], list[tuple[float, float]]] = {}
+
+    def add(self, x: float, y: float) -> None:
+        key = (int(x // self.cell), int(y // self.cell))
+        self._cells.setdefault(key, []).append((x, y))
+
+    def too_close(self, x: float, y: float, dist: float) -> bool:
+        """True when some stored point lies strictly closer than dist."""
+        d2 = dist * dist
+        cx, cy = int(x // self.cell), int(y // self.cell)
+        for i in (cx - 1, cx, cx + 1):
+            for j in (cy - 1, cy, cy + 1):
+                for px, py in self._cells.get((i, j), ()):
+                    dx, dy = px - x, py - y
+                    if dx * dx + dy * dy < d2:
+                        return True
+        return False
+
+    def place(self, width: int, height: int, dist: float, rng) -> tuple[int, int] | None:
+        """Draw pixels (x, then y) uniformly from a width x height frame until
+        no stored point lies closer than dist; add and return that pixel, or
+        None after MAX_PLACEMENT_TRIES draws."""
+        for _ in range(MAX_PLACEMENT_TRIES):
+            x = rng.randrange(width)
+            y = rng.randrange(height)
+            if not self.too_close(x, y, dist):
+                self.add(x, y)
+                return x, y
+        return None
+
+
+def gen_chaff_random_python(existing, r, d, width, height, coeffs, q, rng) -> list[VaultRecord]:
+    """Chaff placed and given its ordinate one point at a time, the bucket
+    grid above and one pure-Python Horner evaluation per point: the oracle
+    for ``vault.gen_chaff_random``, which draws the same stream in the same
+    order.  Its int64 Horner pass needs q < 2**31, so that every product
+    stays below q**2 < 2**62; Python ints carry these exactly."""
+    field = PrimeField(q)
+    shift = coord_shift(q)
+    grid = BucketGrid(max(d, 1.0))
+    for x, y in existing:
+        grid.add(x, y)
+    records = []
+    for _ in range(r - len(existing)):
+        placed = grid.place(width, height, d, rng)
+        if placed is None:
+            raise PlacementError("packing saturated", placed=len(records))
+        x, y = placed
+        graph_value = field.poly_eval(coeffs, concat_coord(x, y, shift))
+        v = rng.randrange(q - 1)
+        records.append(VaultRecord(x, y, v + 1 if v >= graph_value else v))
+    return records

@@ -723,3 +723,36 @@ def test_correlate_of_oversized_vaults_is_refused_before_allocating(workdir):
     assert r.stderr.startswith("error:") and "point pairs exceed" in r.stderr
     assert len(r.stderr.splitlines()) == 1
     assert r.stdout == ""
+
+
+class TestFrameBound:
+    """A random-grid lock and simulate refuse a frame above MAX_FRAME_PIXELS
+    before allocating its mask; a hex-grid lock places no chaff by mask."""
+
+    @pytest.mark.parametrize("argv", [
+        ["lock", "--width", "65535", "--height", "32768"],
+        ["lock", "--width", "5000", "--height", "5000"],
+        ["simulate", "--count", "15", "--width", "5000", "--height", "5000"],
+    ])
+    def test_oversized_random_frame_exits_2(self, workdir, argv):
+        if argv[0] == "lock":
+            argv = argv + ["--k", "6", "--t", "15", "--r", "60", "--q", "2147483647",
+                           "--secret-hex", "0011223344556677",
+                           "--template", str(workdir / "tpl15.json")]
+        r = run(argv + ["--seed", "1", "-o", str(workdir / "frame.json")],
+                preexec_fn=_cap_address_space, timeout=300)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error:") and "exceeds the bound" in r.stderr
+        assert len(r.stderr.splitlines()) == 1
+        assert r.stdout == ""
+
+    def test_hex_lock_of_an_oversized_frame_is_unaffected(self, workdir):
+        out = workdir / "hex5000.json"
+        r = run(["lock", "--grid", "hex", "--d", "60", "--width", "5000", "--height", "5000",
+                 "--k", "6", "--t", "15", "--r", "60", "--q", "2147483647",
+                 "--secret-hex", "0011223344556677", "--template", str(workdir / "tpl15.json"),
+                 "--seed", "1", "-o", str(out)], timeout=300)
+        assert r.returncode == 0
+        points = json.loads(out.read_text())["points"]
+        assert len(points) > 5000
+        assert max(p["x"] for p in points) < 5000 and max(p["y"] for p in points) < 5000

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from fuzzyvault.geometry import (
+    MAX_FRAME_PIXELS,
     MAX_PAIRS,
     HexLattice,
     PlacementError,
@@ -12,18 +13,20 @@ from fuzzyvault.geometry import (
     squared_distances,
 )
 
+from oracles import BucketGrid
+
 
 class TestPointGrid:
     def test_against_brute_force(self):
         rng = random.Random(8)
-        pts = [(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(60)]
-        grid = PointGrid(7.0)
+        pts = [(rng.randrange(100), rng.randrange(100)) for _ in range(60)]
+        grid = PointGrid(100, 100, 6.5)
         for x, y in pts:
             grid.add(x, y)
         for _ in range(300):
-            qx, qy = rng.uniform(0, 100), rng.uniform(0, 100)
+            qx, qy = rng.randrange(100), rng.randrange(100)
             dmin = min(math.hypot(px - qx, py - qy) for px, py in pts)
-            assert grid.too_close(qx, qy, 6.5) == (dmin < 6.5)
+            assert grid.too_close(qx, qy) == (dmin < 6.5)
             d2 = squared_distances([(qx, qy)], pts)
             assert d2.shape == (1, len(pts))
             for (px, py), got in zip(pts, d2[0]):
@@ -31,9 +34,55 @@ class TestPointGrid:
 
     def test_inclusive_vs_exclusive_boundary(self):
         # the inclusive side (distance exactly eps) is in TestCorrelation
-        grid = PointGrid(5.0)
-        grid.add(0.0, 0.0)
-        assert not grid.too_close(3.0, 4.0, 5.0)   # strict
+        grid = PointGrid(8, 8, 5.0)
+        grid.add(0, 0)
+        assert not grid.too_close(3, 4)   # strict
+
+    @pytest.mark.parametrize("width, height", [(256, 256), (200, 129), (4, 4), (32, 32)])
+    @pytest.mark.parametrize("dist", [0, 0.5, 1, 7.5, 11, 300])
+    @pytest.mark.parametrize("edges", [False, True])
+    def test_place_draws_as_the_bucket_oracle(self, width, height, dist, edges):
+        """The same pixels, the same None on saturation and the same rng
+        state afterwards as the bucketed grid, on an empty frame and with
+        points already on the frame's corners and edges."""
+        existing = {(0, 0), (width - 1, 0), (0, height - 1), (width - 1, height - 1),
+                    (width // 2, 0), (0, height // 2), (width - 1, height // 2)} if edges else ()
+        oracle = BucketGrid(max(dist, 1.0))
+        grid = PointGrid(width, height, dist)
+        for x, y in sorted(existing):
+            oracle.add(x, y)
+            grid.add(x, y)
+        want_rng, got_rng = random.Random(width * height), random.Random(width * height)
+        want, got = [], []
+        while len(want) < 120 and (not want or want[-1] is not None):
+            want.append(oracle.place(width, height, dist, want_rng))
+            got.append(grid.place(got_rng))
+        assert got == want
+        assert got_rng.getstate() == want_rng.getstate()
+
+    def test_saturation_returns_none_at_the_oracle_count(self):
+        oracle, grid = BucketGrid(11.0), PointGrid(32, 32, 11)
+        want_rng, got_rng = random.Random(0), random.Random(0)
+        placed = 0
+        while grid.place(got_rng) is not None:
+            assert oracle.place(32, 32, 11, want_rng) is not None
+            placed += 1
+        assert oracle.place(32, 32, 11, want_rng) is None
+        assert placed > 0
+        assert got_rng.getstate() == want_rng.getstate()
+
+    def test_frame_above_the_bound_is_refused_before_allocating(self):
+        assert 4096 * 4096 == MAX_FRAME_PIXELS
+        with pytest.raises(ValueError, match="exceeds the bound"):
+            PointGrid(65535, 32768, 11.0)
+        with pytest.raises(ValueError, match="exceeds the bound"):
+            PointGrid(4097, 4096, 11.0)
+
+    @pytest.mark.parametrize("x, y", [(-1, 0), (0, -1), (16, 0), (0, 9), (16, 9)])
+    def test_add_refuses_a_pixel_outside_the_frame(self, x, y):
+        grid = PointGrid(16, 9, 3.0)
+        with pytest.raises(ValueError, match="outside the 16x9 frame"):
+            grid.add(x, y)
 
 
 class TestHexLattice:

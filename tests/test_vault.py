@@ -3,6 +3,7 @@ import json
 import math
 import random
 import statistics
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,7 @@ from fuzzyvault import (
     vault_to_json,
 )
 from fuzzyvault.vault import VaultFormatError
-from oracles import parse_points_python, vault_from_records
+from oracles import gen_chaff_random_python, parse_points_python, vault_from_records
 
 F = PrimeField()
 
@@ -127,6 +128,20 @@ class TestRandomChaff:
         coeffs = F.random_polynomial(14, random.Random(1))
         chaff = gen_chaff_random([], 313, 11.0, 256, 256, coeffs, 65537, random.Random(4))
         assert len(chaff) == 313
+
+    @pytest.mark.parametrize("k", [1, 3, 14])
+    @pytest.mark.parametrize("q, side, d, r", [(17, 4, 1.0, 12), (65537, 256, 11.0, 313),
+                                               (2**31 - 1, 256, 7.5, 400)])
+    def test_records_match_the_one_point_oracle(self, k, q, side, d, r):
+        """The same records and the same rng state afterwards as placing
+        and evaluating one chaff point at a time."""
+        coeffs = PrimeField(q).random_polynomial(k, random.Random(k))
+        existing = [(0, 0), (side - 1, side - 1)]
+        want_rng, got_rng = random.Random(q + k), random.Random(q + k)
+        want = gen_chaff_random_python(existing, r, d, side, side, coeffs, q, want_rng)
+        got = gen_chaff_random(existing, r, d, side, side, coeffs, q, got_rng)
+        assert got == want
+        assert got_rng.getstate() == want_rng.getstate()
 
     def test_saturation_raises_with_achieved_count(self):
         coeffs = (1, 2)
@@ -343,10 +358,12 @@ def _parse_base(quiz_n):
 _DELETE = object()
 # bool, float, str, None, a deleted key, a negative value, 256 (y past the
 # frame, or x with an abscissa x || y at or past q = 65537 unless y = 0),
-# q itself, 2**63 (just past int64), 10**30, NaN, inf and 10**400 (past
-# float64 as an int)
+# q itself, 2**63 (just past int64), 10**30, NaN, inf, 10**400 (past
+# float64 as an int) and the int just past float64's largest value, which
+# rounds to that value
 _FIELD_VALUES = [True, False, 1.5, 7.0, "12", None, _DELETE, -1, 256, 65537, 2**63,
-                 -(2**63) - 1, 10**30, math.nan, math.inf, -math.inf, 10**400]
+                 -(2**63) - 1, 10**30, math.nan, math.inf, -math.inf, 10**400,
+                 int(sys.float_info.max) + 1]
 
 
 @given(data=st.data())
@@ -389,6 +406,20 @@ def test_each_field_value_matches_the_per_point_oracle(quiz_n, key):
             obj["points"][0].pop(key, None)
         else:
             obj["points"][0][key] = value
+        _assert_parsed_as_by_oracle(obj)
+
+
+def test_an_int_beta_past_the_largest_float_is_refused_at_its_point():
+    """An int beta that rounds to float64's largest value is not finite; the
+    refusal quotes its point even when a later point fails too."""
+    obj = json.loads(_parse_base(4))
+    obj["points"][0]["beta"] = int(sys.float_info.max) + 1
+    for later in (None, -1):
+        if later is not None:
+            obj["points"][5]["Y"] = later
+        with pytest.raises(VaultFormatError, match="finite beta") as err:
+            vault_from_json(json.dumps(obj))
+        assert str(err.value).startswith(f"vault point {obj['points'][0]!r:.60}")
         _assert_parsed_as_by_oracle(obj)
 
 
