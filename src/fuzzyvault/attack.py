@@ -97,8 +97,10 @@ def brute_force_attack(
     ``budget`` defaults to 20x the expected trial count, which requires the
     attacker to assume a genuine count ``t_assumed``.  ``exhaustive``
     iterates k-subsets in lexicographic order instead of sampling (tiny
-    instances only).  The report is bit-reproducible for a fixed seed and
-    the same for any worker count (``consensus.search_pool``).
+    instances only: without a budget it refuses more than EXHAUSTIVE_LIMIT
+    subsets).  Either way the search runs at full batch from its first
+    subset.  The report is bit-reproducible for a fixed seed and the same
+    for any worker count (``consensus.search_pool``).
     """
     rule = stop_rule(vault, mode, D, bits)
     if budget is None and not exhaustive:
@@ -107,10 +109,13 @@ def brute_force_attack(
         budget = default_budget(vault.r, t_assumed, vault.k)
     if budget is not None and budget < 0:
         raise ValueError(f"budget={budget} is negative")
+    if exhaustive and budget is None and math.comb(vault.r, vault.k) > EXHAUSTIVE_LIMIT:
+        raise ValueError(f"an exhaustive attack of C({vault.r},{vault.k}) subsets exceeds "
+                         f"{EXHAUSTIVE_LIMIT} without a budget (--budget)")
 
     start = time.perf_counter()
     index = VaultIndex(vault)
-    rule["sweep"] = index.offsets is not None
+    rule.update(sweep=index.offsets is not None, ramp=False)
     n, k = vault.quiz_n, vault.k
     if rule["sweep"] and n**k * max(vault.r, k * k) > SWEEP_ELEMENTS:
         raise ValueError(f"quiz sweep of {n}**{k} assignments exceeds the memory bound")

@@ -10,9 +10,11 @@ matrix product, exact below 2**53 with as many limbs as (q, k) need, one
 for every preset (``matmul_mod``).  Subsets come from one stream of seeded
 chunks, each an (m, k) index array that batches slice, and the first
 accepted row in stream order wins, so results depend neither on the batch
-size nor on the worker count.  With more than one worker the calling
-process searches chunks beside forked helper processes, which claim chunk
-numbers from a shared counter and send their results back over pipes.
+size nor on the worker count.  The verifier's batch grows from one subset,
+since its first candidate is usually accepted; the attacker's is full from
+its first subset.  With more than one worker the calling process searches
+chunks beside forked helper processes, which claim chunk numbers from a
+shared counter and send their results back over pipes.
 
 For quiz vaults the graph test is "any transform index matches": a record
 (X, Y) counts as a hit when (g(X) - Y) mod q is one of the n transform
@@ -276,7 +278,7 @@ def stop_rule(vault: Vault, mode: str, D: int | None, bits: int | None) -> dict:
 
 
 def search(index: VaultIndex, points, blocks, D: int, crc=None, sweep: bool = False,
-           start: int = 0):
+           ramp: bool = True, start: int = 0):
     """Try the k-subsets of ``points`` in ``blocks``, an iterable of (m, k)
     intp arrays of point indices, in order until one yields an accepted
     candidate or they run out.  Returns (coeffs or None, trials,
@@ -291,11 +293,15 @@ def search(index: VaultIndex, points, blocks, D: int, crc=None, sweep: bool = Fa
     CRC rule's confirming scans are not counted.
     ``sweep``: try every subset under all n**k quiz transform assignments,
     in itertools.product order; the caller bounds n**k by SWEEP_ELEMENTS.
-    ``start``: the stream position of the first subset.  Batches are slices
-    of one block, the first start + 1 subsets and each next one twice as
-    many, up to the rule's BATCH_ELEMENTS cap, so a pool chunk late in the
-    stream searches at full batch from its first row, as one search over the
-    whole stream would by then.
+    ``ramp``: batches are slices of one block, each twice as many subsets
+    as the one before, up to the rule's BATCH_ELEMENTS cap; without the ramp
+    each is the full cap, or the rest of its block.  The ramp pays where a
+    search usually succeeds in its first few subsets, as the verifier's
+    does, and not where it almost never does, as the attacker's.
+    ``start``: the stream position of the first subset.  The ramp's first
+    batch is start + 1 subsets, so a pool chunk late in the stream searches
+    at full batch from its first row, as one search over the whole stream
+    would by then.
     """
     q, k = index.q, index.k
     xs, ys = (index._x, index._y) if points is None else points
@@ -312,7 +318,7 @@ def search(index: VaultIndex, points, blocks, D: int, crc=None, sweep: bool = Fa
         passed = np.flatnonzero(crc(coeffs))
         return passed[index.hits(coeffs[passed]) >= D] if len(passed) else passed
 
-    for sub in _batches(blocks, min(cap, start + 1), cap):
+    for sub in _batches(blocks, min(cap, start + 1) if ramp else cap, cap):
         if sweep:
             # under assignment a a subset's candidate is the sum over i of
             # (y_i + offset[a_i]) * L_i, with L_i its Lagrange basis
@@ -459,7 +465,9 @@ def search_pool(index: VaultIndex, points, budget: int, chunk: int, label: str, 
     The caller searches whenever the next chunk in order is not ready and
     a chunk is left to claim, and waits only otherwise.  Every helper is
     stopped before the call returns or raises.  Fewer than k points give an
-    empty stream."""
+    empty stream.  With ``ramp`` (the default) only chunk 0 ramps, as the
+    verifier needs; with ``ramp=False``, the attacker's, every chunk
+    searches at full batch from its first subset."""
     if workers < 1:
         raise ValueError(f"workers={workers} is below 1")
     stream = (index.r if points is None else len(points[0]), index.k, label, chunk, budget)

@@ -158,6 +158,8 @@ class TestNegativeValues:
         (["unlock", "--budget", "-5"], "budget=-5 is negative"),
         (["attack", "--budget", "-5"], "budget=-5 is negative"),
         (["attack", "--exhaustive", "--budget", "-5"], "budget=-5 is negative"),
+        (["attack", "--exhaustive"],
+         "C(60,6) subsets exceeds 10000000 without a budget (--budget)"),
         (["sweep", "--r", "30", "--t", "8", "--k", "3", "--empirical-runs", "-2"],
          "empirical_runs=-2 is negative"),
         (["correlate", "--eps", "-3"], "eps=-3.0 is not a number >= 0"),
@@ -167,8 +169,8 @@ class TestNegativeValues:
         (["sweep", "--r", "30", "--t", "8", "--k", "3", "--workers", "0"],
          "workers=0 is below 1"),
     ], ids=["unlock-tau", "unlock-tau-nan", "unlock-budget", "attack-budget",
-            "exhaustive-budget", "sweep-runs", "correlate-eps", "correlate-eps-nan",
-            "attack-workers", "unlock-workers", "sweep-workers"])
+            "exhaustive-budget", "exhaustive-unbounded", "sweep-runs", "correlate-eps",
+            "correlate-eps-nan", "attack-workers", "unlock-workers", "sweep-workers"])
     def test_negative_value_is_a_parameter_error(self, workdir, argv, message):
         # sweep gets no --seed, so no seed line precedes the error
         if argv[0] == "correlate":

@@ -26,7 +26,7 @@ from fuzzyvault import (
     lock,
     unlock,
 )
-from fuzzyvault import consensus
+from fuzzyvault import attack, consensus
 from fuzzyvault.consensus import (
     INVERSE_TABLE_Q,
     SMALL_INVERSE,
@@ -555,6 +555,43 @@ def test_a_pool_chunk_past_the_first_interpolates_a_full_batch_first(monkeypatch
         assert consensus._run_chunk(index, None, stream, dict(D=index.r, crc=None), i)[:2] == (
             None, 512)
         assert rows == ([1, 2, 4, 8, 16, 32, 64, 128, 256, 1] if i == 0 else [cap, 512 - cap])
+
+
+def test_the_attacker_searches_at_full_batch_from_its_first_subset(monkeypatch):
+    # the r = 60 vault above: every 512-subset chunk of an attack, chunk 0
+    # included, is a full batch of 273 subsets and then the 239 left, and
+    # an exhaustive attack's first block starts full too; the verifier's
+    # chunk 0 still grows from one candidate
+    tpl = gen_template(15, seed=1)
+    vault, _ = lock(tpl, Secret.random(64, random.Random(1)), VaultParams(k=6, t=15, r=60),
+                    seed=1)
+    index = VaultIndex(vault)
+    rows, rules = [], []
+
+    def spy(xs, ys, q):
+        rows.append(len(xs))
+        return interpolate(xs, ys, q)
+
+    def pool_spy(*args, **rule):
+        rules.append(rule)
+        return search_pool(*args, **rule)
+
+    search_pool = attack.search_pool
+    monkeypatch.setattr(consensus, "interpolate", spy)
+    monkeypatch.setattr(attack, "search_pool", pool_spy)
+    assert brute_force_attack(vault, D=vault.r, budget=4 * 512, seed=1).trials == 4 * 512
+    assert rows == [273, 239] * 4
+    stream = (index.r, index.k, "1/attack-chunk", 512, 4 * 512)
+    for i in range(4):
+        rows.clear()
+        assert consensus._run_chunk(index, None, stream, rules[0], i)[:2] == (None, 512)
+        assert rows == [273, 239]
+    rows.clear()
+    assert brute_force_attack(vault, D=vault.r, budget=600, exhaustive=True).trials == 600
+    assert rows == [273, 239, 88]
+    rows.clear()
+    assert unlock(vault, tpl, D=vault.r, budget=64, seed=1).candidates == 64
+    assert rows == [1, 2, 4, 8, 16, 32, 1]
 
 
 def _with_points(vault, points):
