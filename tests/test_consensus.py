@@ -574,9 +574,8 @@ def test_the_attacker_searches_at_full_batch_from_its_first_subset(monkeypatch):
 
     def pool_spy(*args, **rule):
         rules.append(rule)
-        return search_pool(*args, **rule)
+        return consensus.search_pool(*args, **rule)
 
-    search_pool = attack.search_pool
     monkeypatch.setattr(consensus, "interpolate", spy)
     monkeypatch.setattr(attack, "search_pool", pool_spy)
     assert brute_force_attack(vault, D=vault.r, budget=4 * 512, seed=1).trials == 4 * 512
