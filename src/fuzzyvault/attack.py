@@ -22,7 +22,7 @@ import numpy as np
 
 from .coding import Secret, try_decode
 from .coding import coeffs_pass_crc  # noqa: F401  perfbench/tracer.py patches this name
-from .consensus import SWEEP_ELEMENTS, VaultIndex, search, search_pool, stop_rule
+from .consensus import SWEEP_ELEMENTS, VaultIndex, check_budget, search, search_pool, stop_rule
 from .geometry import squared_distances
 from .seeds import substream  # noqa: F401  perfbench/tracer.py patches this name
 from .vault import Vault
@@ -45,7 +45,9 @@ class AttackReport:
 
 def default_budget(r: int, t: int, k: int) -> int:
     """20x the expected trial count: failure odds under the geometric model
-    are below (1 - 1/E)**(20 E) ~ e**-20."""
+    are below (1 - 1/E)**(20 E) ~ e**-20.  The assumed t must lie in k..r."""
+    if not k <= t <= r:
+        raise ValueError(f"assumed genuine count t={t} is outside k..r = {k}..{r} (--assume-t)")
     expected = math.comb(r, k) / math.comb(t, k)
     return max(1, math.ceil(20 * expected))
 
@@ -95,7 +97,8 @@ def brute_force_attack(
     "crc" (accept when the candidate passes the CRC check and has >= D
     graph hits; needs ``bits``).
     ``budget`` defaults to 20x the expected trial count, which requires the
-    attacker to assume a genuine count ``t_assumed``.  ``exhaustive``
+    attacker to assume a genuine count ``t_assumed`` in k..r; no budget may
+    pass ``consensus.SEARCH_LIMIT``.  ``exhaustive``
     iterates k-subsets in lexicographic order instead of sampling (tiny
     instances only: without a budget it refuses more than EXHAUSTIVE_LIMIT
     subsets).  Either way the search runs at full batch from its first
@@ -107,26 +110,27 @@ def brute_force_attack(
         if t_assumed is None:
             raise ValueError("provide a budget or an assumed genuine count t_assumed")
         budget = default_budget(vault.r, t_assumed, vault.k)
-    if budget is not None and budget < 0:
-        raise ValueError(f"budget={budget} is negative")
+    if budget is not None:
+        check_budget(budget)
     if exhaustive and budget is None and math.comb(vault.r, vault.k) > EXHAUSTIVE_LIMIT:
         raise ValueError(f"an exhaustive attack of C({vault.r},{vault.k}) subsets exceeds "
                          f"{EXHAUSTIVE_LIMIT} without a budget (--budget)")
 
     start = time.perf_counter()
     index = VaultIndex(vault)
-    rule.update(sweep=index.offsets is not None, ramp=False)
     n, k = vault.quiz_n, vault.k
-    if rule["sweep"] and n**k * max(vault.r, k * k) > SWEEP_ELEMENTS:
+    if n and n**k * max(vault.r, k * k) > SWEEP_ELEMENTS:
         raise ValueError(f"quiz sweep of {n}**{k} assignments exceeds the memory bound")
     if exhaustive:
-        coeffs, trials, interps, checks = search(
-            index, None, _combination_blocks(vault.r, vault.k, budget), **rule)
+        coeffs, interps = search(index, None, _combination_blocks(vault.r, k, budget), **rule)
     else:
-        coeffs, trials, interps, checks = search_pool(
+        coeffs, interps = search_pool(
             index, None, budget, PARALLEL_CHUNK_TRIALS, f"{seed}/attack-chunk", workers, **rule
         )
-    if coeffs is not None and rule["sweep"] and mode == "threshold":
+    # subsets with at least one candidate tried: only the last can stop mid-sweep
+    trials = -(-interps // n**k) if n else interps
+    checks = interps * (vault.r - k) if mode == "threshold" else 0
+    if coeffs is not None and n and mode == "threshold":
         coeffs, extra = _canonical_quiz_candidate(index, coeffs)
         checks += extra
 

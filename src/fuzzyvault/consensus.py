@@ -10,19 +10,21 @@ matrix product, exact below 2**53 with as many limbs as (q, k) need, one
 for every preset (``matmul_mod``).  Subsets come from one stream of seeded
 chunks, each an (m, k) index array that batches slice, and the first
 accepted row in stream order wins, so results depend neither on the batch
-size nor on the worker count.  The verifier's batch grows from one subset,
-since its first candidate is usually accepted; the attacker's is full from
-its first subset.  With more than one worker the calling process searches
-chunks beside forked helper processes, which claim chunk numbers from a
-shared counter and send their results back over pipes.
+size nor on the worker count.  The verifier's chunk 0 is cut into slices
+of 1, 2, 4, ... subsets, since its first candidate is usually accepted;
+every other batch is full from its chunk's first subset.  With more than
+one worker the calling process searches chunks beside forked helper
+processes, which claim chunk numbers from a shared counter and send their
+results back over pipes.
 
 For quiz vaults the graph test is "any transform index matches": a record
 (X, Y) counts as a hit when (g(X) - Y) mod q is one of the n transform
 offsets.  Neither the attacker nor the verifier can know j for records they
-did not match to a minutia.  The attacker sweeps all n**k assignments of
-offsets to a subset's ordinates.  Interpolation is linear in the ordinates,
-so each subset's k Lagrange basis polynomials, interpolated and evaluated
-once, give all n**k candidates and their values by broadcast sums.
+did not match to a minutia.  A search over the vault's own records sweeps
+all n**k assignments of offsets to a subset's ordinates.  Interpolation is
+linear in the ordinates, so each subset's k Lagrange basis polynomials,
+interpolated and evaluated once, give all n**k candidates and their values
+by broadcast sums.
 """
 
 from __future__ import annotations
@@ -59,6 +61,11 @@ INVERSE_TABLE_Q = 2**17
 # ((n**k, k) coefficients under the CRC rule), 128 MiB at the bound; the
 # attack refuses a larger sweep before searching.
 SWEEP_ELEMENTS = 2**24
+# Bound on the budget of any search, in subsets, explicit or default: ten
+# times uludag's default threshold budget (20 * C(200,8)/C(25,8), about
+# 1.02e9), about nine hours at its 3.3 us per trial on one core, while
+# clancy's default (about 1.5e15) is refused before a chunk is drawn.
+SEARCH_LIMIT = 10**10
 # The caller's bound on taking the lock of the shared chunk counter.
 CLAIM_TIMEOUT_S = 10.0
 
@@ -277,40 +284,41 @@ def stop_rule(vault: Vault, mode: str, D: int | None, bits: int | None) -> dict:
     return dict(D=D, crc=partial(rows_pass_crc, bits=bits))
 
 
-def search(index: VaultIndex, points, blocks, D: int, crc=None, sweep: bool = False,
-           ramp: bool = True, start: int = 0):
+def check_budget(budget: int) -> None:
+    """Refuse a negative budget, or one past SEARCH_LIMIT."""
+    if budget < 0:
+        raise ValueError(f"budget={budget} is negative")
+    if budget > SEARCH_LIMIT:
+        raise ValueError(f"budget={budget} is past the desk-scale bound of {SEARCH_LIMIT} "
+                         "subsets (--budget)")
+
+
+def search(index: VaultIndex, points, blocks, D: int, crc=None):
     """Try the k-subsets of ``points`` in ``blocks``, an iterable of (m, k)
     intp arrays of point indices, in order until one yields an accepted
-    candidate or they run out.  Returns (coeffs or None, trials,
-    interpolations, point checks).
+    candidate or they run out.  Returns (coeffs or None, interpolations).
 
-    ``points``: (xs, ys) int64 arrays, xs distinct and reduced mod q, or
-    None for the vault's own records.  The rule is the threshold D on vault
-    hits; when ``crc`` is given, a row must first pass the predicate
-    ``crc(coeffs)`` over the (rows, k) coefficient array, and only the rows
-    that pass (about one in 65,536) are scanned for their hits.  Point
-    checks count the threshold rule's scans, r - k per interpolation; the
-    CRC rule's confirming scans are not counted.
-    ``sweep``: try every subset under all n**k quiz transform assignments,
-    in itertools.product order; the caller bounds n**k by SWEEP_ELEMENTS.
-    ``ramp``: batches are slices of one block, each twice as many subsets
-    as the one before, up to the rule's BATCH_ELEMENTS cap; without the ramp
-    each is the full cap, or the rest of its block.  The ramp pays where a
-    search usually succeeds in its first few subsets, as the verifier's
-    does, and not where it almost never does, as the attacker's.
-    ``start``: the stream position of the first subset.  The ramp's first
-    batch is start + 1 subsets, so a pool chunk late in the stream searches
-    at full batch from its first row, as one search over the whole stream
-    would by then.
+    ``points``: (xs, ys) int64 arrays, xs distinct and reduced mod q, of
+    matched points with their true ordinates, or None for the vault's own
+    records.  A quiz vault's stored ordinates hide their transform index,
+    so a subset of its own records is tried under all n**k assignments of
+    transform offsets, in itertools.product order (the caller bounds n**k
+    by SWEEP_ELEMENTS); matched points carry the recovered index.  The rule
+    is the threshold D on vault hits; when ``crc`` is given, a row must
+    first pass the predicate ``crc(coeffs)`` over the (rows, k) coefficient
+    array, and only the rows that pass (about one in 65,536) are scanned
+    for their hits.  Each block is cut into batches of the rule's
+    BATCH_ELEMENTS cap, the last one shorter, so a caller that wants small
+    first batches hands over small first blocks.
     """
     q, k = index.q, index.k
+    sweep = points is None and index.offsets is not None
     xs, ys = (index._x, index._y) if points is None else points
     offsets = np.array(index.offsets if sweep else (0,), dtype=np.int64)
     per_trial = len(offsets) ** k
     width = k * k if crc is not None else max(index.r, k * k)
     cap = max(1, BATCH_ELEMENTS // (per_trial * width))
-    trials = interps = 0
-    found = None
+    interps = 0
 
     def accepted(coeffs):  # the rule's passing rows of a (rows, k) array
         if crc is None:
@@ -318,7 +326,7 @@ def search(index: VaultIndex, points, blocks, D: int, crc=None, sweep: bool = Fa
         passed = np.flatnonzero(crc(coeffs))
         return passed[index.hits(coeffs[passed]) >= D] if len(passed) else passed
 
-    for sub in _batches(blocks, min(cap, start + 1) if ramp else cap, cap):
+    for sub in (block[lo:lo + cap] for block in blocks for lo in range(0, len(block), cap)):
         if sweep:
             # under assignment a a subset's candidate is the sum over i of
             # (y_i + offset[a_i]) * L_i, with L_i its Lagrange basis
@@ -335,27 +343,13 @@ def search(index: VaultIndex, points, blocks, D: int, crc=None, sweep: bool = Fa
             passed = accepted(coeffs)
         used = int(passed[0]) + 1 if len(passed) else len(sub) * per_trial
         interps += used
-        trials += -(-used // per_trial)  # subsets with at least one row tried
         if len(passed):
             if sweep:  # the accepted row's coefficients, from its subset alone
                 b, a = divmod(used - 1, per_trial)
                 coeffs = _assignment_sums(ords[b:b + 1], basis[b:b + 1], q)[0] % q
-                found = tuple(coeffs[a].tolist())
-            else:
-                found = tuple(coeffs[used - 1].tolist())
-            break
-    return found, trials, interps, 0 if crc is not None else interps * (index.r - k)
-
-
-def _batches(blocks, batch: int, cap: int):
-    """Consecutive slices of each block, the first ``batch`` rows long and
-    each next one twice as long, up to ``cap``; no slice crosses a block."""
-    for block in blocks:
-        lo = 0
-        while lo < len(block):
-            yield block[lo:lo + batch]
-            lo += batch
-            batch = min(2 * batch, cap)
+                return tuple(coeffs[a].tolist()), interps
+            return tuple(coeffs[used - 1].tolist()), interps
+    return None, interps
 
 
 def _assignment_sums(ords: np.ndarray, tables: np.ndarray, q: int) -> np.ndarray:
@@ -399,10 +393,23 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _chunk_blocks(points, stream: tuple, chunks: range):
+    """The blocks of ``chunks`` of the ``_chunk_subsets`` stream.  Given
+    matched ``points``, the verifier's, chunk 0 is handed over as slices of
+    1, 2, 4, ... rows, since its first candidate is usually accepted; every
+    other chunk, and every chunk of the attacker, is one block, searched at
+    full batch from its first row."""
+    blocks = _chunk_subsets(*stream, chunks)
+    if points is None or chunks.start or not chunks:
+        return blocks
+    first = next(blocks)
+    return itertools.chain([first[(1 << j) - 1:(2 << j) - 1]
+                            for j in range(len(first).bit_length())], blocks)
+
+
 def _run_chunk(index: VaultIndex, points, stream: tuple, rule: dict, i: int):
     """``search`` over chunk ``i`` of the ``_chunk_subsets`` stream."""
-    subsets = _chunk_subsets(*stream, range(i, i + 1))
-    return search(index, points, subsets, **rule, start=i * stream[3])
+    return search(index, points, _chunk_blocks(points, stream, range(i, i + 1)), **rule)
 
 
 def _next_chunk(state, i: int | None = None, res=None, timeout: float | None = None):
@@ -465,21 +472,19 @@ def search_pool(index: VaultIndex, points, budget: int, chunk: int, label: str, 
     The caller searches whenever the next chunk in order is not ready and
     a chunk is left to claim, and waits only otherwise.  Every helper is
     stopped before the call returns or raises.  Fewer than k points give an
-    empty stream.  With ``ramp`` (the default) only chunk 0 ramps, as the
-    verifier needs; with ``ramp=False``, the attacker's, every chunk
-    searches at full batch from its first subset."""
+    empty stream.  Returns (coeffs or None, interpolations), summed over
+    the chunks read."""
     if workers < 1:
         raise ValueError(f"workers={workers} is below 1")
     stream = (index.r if points is None else len(points[0]), index.k, label, chunk, budget)
     n_chunks = math.ceil(budget / chunk) if stream[0] >= index.k else 0
     workers = min(workers, n_chunks, usable_cpus())
     if workers <= 1:
-        return search(index, points, _chunk_subsets(*stream, range(n_chunks)), **rule)
+        return search(index, points, _chunk_blocks(points, stream, range(n_chunks)), **rule)
     run = partial(_run_chunk, index, points, stream, rule)
     state = multiprocessing.Array("q", [1, n_chunks])  # chunk 0 is the caller's
     results, conns, procs = {}, [], []
-    mine = done = 0
-    totals = [0, 0, 0]
+    mine = done = interps = 0
     try:
         for proc, conn in _start_helpers(workers, state, run):
             procs.append(proc)
@@ -495,11 +500,11 @@ def search_pool(index: VaultIndex, points, budget: int, chunk: int, label: str, 
                 else:
                     results[got[0]] = got[1]
             while done in results:
-                found, *counts = results.pop(done)
-                totals = [a + b for a, b in zip(totals, counts)]
+                found, used = results.pop(done)
+                interps += used
                 done += 1
                 if found is not None or done == n_chunks:
-                    return (found, *totals)
+                    return found, interps
             mine = _next_chunk(state, mine, res, CLAIM_TIMEOUT_S)
     except EOFError:
         raise RuntimeError("a search helper exited before returning its chunks") from None

@@ -17,7 +17,7 @@ import numpy as np
 
 from .coding import Secret, try_decode
 from .coding import coeffs_pass_crc  # noqa: F401  perfbench/tracer.py patches this name
-from .consensus import VaultIndex, search_pool, stop_rule
+from .consensus import VaultIndex, check_budget, search_pool, stop_rule
 from .geometry import squared_distances
 from .quiz import recover_index
 from .simulate import Minutia, Template
@@ -109,20 +109,19 @@ def consensus_decode(
     A failure result signals insufficient overlap, not corruption.
     """
     rule = stop_rule(vault, mode, D, bits)
-    if budget < 0:
-        raise ValueError(f"budget={budget} is negative")
+    check_budget(budget)
     if crc_encoded is None:
         crc_encoded = mode == "crc"
 
     start = time.perf_counter()
     index = VaultIndex(vault)
     points = _candidate_points(vault, index, uset)
-    coeffs, candidates, interps, _ = search_pool(
+    coeffs, interps = search_pool(
         index, points, budget, PARALLEL_CHUNK_CANDIDATES, f"{seed}/unlock-chunk", workers, **rule
     )
 
     secret = None if coeffs is None else try_decode(coeffs, bits, crc_encoded)
-    return UnlockResult(coeffs is not None, secret, coeffs, candidates, interps,
+    return UnlockResult(coeffs is not None, secret, coeffs, interps, interps,
                         time.perf_counter() - start, seed)
 
 

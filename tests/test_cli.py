@@ -29,6 +29,12 @@ def workdir(tmp_path_factory):
         "-o", str(path / "vault.json"), "--truth", str(path / "truth.json"),
     ])
     assert r.returncode == 0
+    r = run([
+        "lock", "--preset", "clancy", "--secret-hex", "00112233445566778899aabbccdd",
+        "--template", str(path / "tpl60.json"), "--seed", "7",
+        "-o", str(path / "clancy_vault.json"),
+    ])
+    assert r.returncode == 0
     return path
 
 
@@ -168,15 +174,29 @@ class TestNegativeValues:
         (["unlock", "--workers", "-3"], "workers=-3 is below 1"),
         (["sweep", "--r", "30", "--t", "8", "--k", "3", "--workers", "0"],
          "workers=0 is below 1"),
+        # the default budget at clancy, 20 C(313,14)/C(38,14), is about 1.5e15
+        (["attack", "--preset", "clancy"],
+         "is past the desk-scale bound of 10000000000 subsets (--budget)"),
+        (["attack", "--budget", "10000000001"],
+         "budget=10000000001 is past the desk-scale bound of 10000000000 subsets (--budget)"),
+        (["unlock", "--budget", "10000000001"],
+         "budget=10000000001 is past the desk-scale bound of 10000000000 subsets (--budget)"),
+        (["attack", "--assume-t", "3"],
+         "assumed genuine count t=3 is outside k..r = 6..60 (--assume-t)"),
+        (["attack", "--assume-t", "100"],
+         "assumed genuine count t=100 is outside k..r = 6..60 (--assume-t)"),
     ], ids=["unlock-tau", "unlock-tau-nan", "unlock-budget", "attack-budget",
             "exhaustive-budget", "exhaustive-unbounded", "sweep-runs", "correlate-eps",
-            "correlate-eps-nan", "attack-workers", "unlock-workers", "sweep-workers"])
+            "correlate-eps-nan", "attack-workers", "unlock-workers", "sweep-workers",
+            "clancy-default-budget", "attack-budget-past-bound", "unlock-budget-past-bound",
+            "assume-t-below-k", "assume-t-above-r"])
     def test_negative_value_is_a_parameter_error(self, workdir, argv, message):
         # sweep gets no --seed, so no seed line precedes the error
         if argv[0] == "correlate":
             argv = argv + ["--vaults", str(workdir / "vault.json"), str(workdir / "vault.json")]
         if argv[0] in ("attack", "unlock"):
-            argv = argv + ["--vault", str(workdir / "vault.json"), "--D", "9", "--bits", "64",
+            vault = "clancy_vault.json" if "clancy" in argv else "vault.json"
+            argv = argv + ["--vault", str(workdir / vault), "--D", "9", "--bits", "64",
                            "--seed", "1"]
         if argv[0] == "unlock":
             argv = argv + ["--template", str(workdir / "tpl15.json")]

@@ -207,26 +207,29 @@ def test_count_hits_of_the_true_polynomial_at_default_q():
         assert index.count_hits(truth.coeffs) == count_hits_python(index, truth.coeffs) == 8
 
 
-def _oracle_search(index, subsets, D, sweep, bits=None):
+def _oracle_search(index, subsets, D, bits=None, points=None):
     """One candidate at a time through PrimeField.interpolate and the Python
     scan, after the one-row CRC predicate when ``bits`` is given, in the
-    order the search engine must reproduce."""
-    q, k, r = index.q, index.k, index.r
+    order the search engine must reproduce: (coeffs or None,
+    interpolations).  Subsets of the vault's own records (``points`` None)
+    of a quiz vault are tried under every transform assignment; matched
+    ``points`` (xs, ys) carry their true ordinates."""
+    q, k = index.q, index.k
     field = PrimeField(q)
+    sweep = points is None and index.offsets is not None
     assignments = list(itertools.product(index.offsets, repeat=k)) if sweep else [(0,) * k]
-    checks = r - k if bits is None else 0  # per interpolation; CRC-rule scans are not counted
-    xs, ys = index._x.tolist(), index._y.tolist()
-    trials = interps = 0
+    xs, ys = (index._x, index._y) if points is None else points
+    xs, ys = xs.tolist(), ys.tolist()
+    interps = 0
     for sub in subsets:
-        trials += 1
         for offs in assignments:
             pts = [(xs[i], (ys[i] + o) % q) for i, o in zip(sub, offs)]
             coeffs = field.interpolate(pts)
             interps += 1
             if ((bits is None or coeffs_pass_crc(coeffs, bits))
                     and count_hits_python(index, coeffs) >= D):
-                return coeffs, trials, interps, interps * checks
-    return None, trials, interps, interps * checks
+                return coeffs, interps
+    return None, interps
 
 
 def _one_block(rows):
@@ -239,21 +242,32 @@ def _stream_rows(blocks):
     return [row for block in blocks for row in block.tolist()]
 
 
-def _quiz_index(quiz_n):
+def _quiz_index(quiz_n, truth=False):
     tpl = gen_template(8, seed=4)
-    vault, _ = lock(tpl, Secret.random(40, random.Random(4)),
-                    VaultParams(k=3, t=8, r=30, quiz_n=quiz_n), seed=4)
-    return VaultIndex(vault)
+    vault, lock_truth = lock(tpl, Secret.random(40, random.Random(4)),
+                             VaultParams(k=3, t=8, r=30, quiz_n=quiz_n), seed=4)
+    return (VaultIndex(vault), lock_truth) if truth else VaultIndex(vault)
 
 
 @pytest.mark.parametrize("quiz_n, budget", [(0, 10_000), (0, 7), (4, 10_000), (4, 3)])
 def test_search_matches_one_candidate_oracle(quiz_n, budget):
-    index = _quiz_index(quiz_n)
+    # beside the vault's own records, every record as a matched point: the
+    # genuine ones at their true ordinates, so a quiz vault's matched points
+    # are interpolated once each, under no transform assignment
+    index, truth = _quiz_index(quiz_n, truth=True)
+    field = PrimeField(index.q)
+    ys = index._y.copy()
+    ys[list(truth.genuine_indices)] = [field.poly_eval(truth.coeffs, x)
+                                       for x in index._x[list(truth.genuine_indices)].tolist()]
+    points = (index._x, ys)
     for seed in range(4):
         rng = random.Random(seed)
         subsets = [rng.sample(range(index.r), index.k) for _ in range(budget)]
-        got = search(index, None, _one_block(subsets), D=6, sweep=bool(quiz_n))
-        assert got == _oracle_search(index, subsets, 6, bool(quiz_n))
+        got = search(index, None, _one_block(subsets), D=6)
+        assert got == _oracle_search(index, subsets, 6)
+        got = search(index, points, _one_block(subsets), D=6)
+        assert got == _oracle_search(index, subsets, 6, points=points)
+        assert got[1] == len(subsets) or got[0] == tuple(truth.coeffs)
 
 
 def _crc_quiz_vault():
@@ -272,8 +286,8 @@ def test_quiz_sweep_matches_one_candidate_oracle_under_the_crc_rule(budget):
     for seed in range(4):
         rng = random.Random(seed)
         subsets = [rng.sample(range(index.r), index.k) for _ in range(budget)]
-        got = search(index, None, _one_block(subsets), **rule, sweep=True)
-        assert got == _oracle_search(index, subsets, rule["D"], True, bits=32)
+        got = search(index, None, _one_block(subsets), **rule)
+        assert got == _oracle_search(index, subsets, rule["D"], bits=32)
         found += got[0] is not None
     assert found == 4 or budget < 10_000
 
@@ -304,8 +318,8 @@ def test_quiz_sweep_is_exact_at_every_modulus(q, n, k):
         hit = 0
         for seed in range(3):
             subsets = [rng.sample(range(12), k) for _ in range(40)]
-            got = search(index, None, _one_block(subsets), **rule, sweep=True)
-            assert got == _oracle_search(index, subsets, rule["D"], True, bits=bits)
+            got = search(index, None, _one_block(subsets), **rule)
+            assert got == _oracle_search(index, subsets, rule["D"], bits=bits)
             hit += got[0] is not None
         assert hit == 3
 
@@ -365,10 +379,9 @@ def test_every_worker_count_searches_one_chunk_stream(quiz_n, budget):
     stream = []
     for i in range(math.ceil(budget / chunk)):
         stream += _floyd_rows(index.r, index.k, label, chunk, i)[:budget - i * chunk]
-    want = _oracle_search(index, stream, 6, bool(quiz_n))
+    want = _oracle_search(index, stream, 6)
     for workers in (1, 2, 3):
-        got = consensus.search_pool(index, None, budget, chunk, label, workers, D=6, crc=None,
-                                    sweep=bool(quiz_n))
+        got = consensus.search_pool(index, None, budget, chunk, label, workers, D=6, crc=None)
         assert got == want
 
 
@@ -384,7 +397,7 @@ def test_every_worker_count_agrees_where_batches_use_the_inverse_table(budget):
     stream = []
     for i in range(math.ceil(budget / chunk)):
         stream += _floyd_rows(index.r, index.k, label, chunk, i)[:budget - i * chunk]
-    want = _oracle_search(index, stream, 9, False)
+    want = _oracle_search(index, stream, 9)
     for workers in (1, 2, 3):
         got = consensus.search_pool(index, None, budget, chunk, label, workers, D=9, crc=None)
         assert got == want
@@ -407,7 +420,7 @@ def test_every_worker_count_agrees_under_the_crc_rule(budget):
     for i in range(math.ceil(budget / chunk)):
         stream += _floyd_rows(index.r, index.k, label, chunk, i)[:budget - i * chunk]
     rule = stop_rule(vault, "crc", None, 64)
-    want = _oracle_search(index, stream, rule["D"], False, bits=64)
+    want = _oracle_search(index, stream, rule["D"], bits=64)
     assert (want[0] is not None) == (budget == 3000) and want[1] > 2 * chunk
     for workers in (1, 2, 3):
         got = consensus.search_pool(index, None, budget, chunk, label, workers, **rule)
@@ -437,7 +450,7 @@ def test_crc_rule_skips_a_planted_false_pass():
     assert count_hits_python(index, wrong) < 9
     subsets = [chaff, list(truth.genuine_indices[:6])]
     got = search(index, None, _one_block(subsets), **rule)
-    assert got == (tuple(truth.coeffs), 2, 2, 0) == _oracle_search(index, subsets, 9, False, 64)
+    assert got == (tuple(truth.coeffs), 2) == _oracle_search(index, subsets, 9, bits=64)
     # the bare CRC predicate (D = 0) stops on the planted row
     assert search(index, None, _one_block(subsets), D=0, crc=rule["crc"])[:2] == (tuple(wrong), 1)
 
@@ -449,25 +462,13 @@ def test_crc_rule_refuses_a_bit_length_the_polynomial_cannot_carry(bits):
         stop_rule(vault, "crc", None, bits)
 
 
-@pytest.mark.parametrize("start", [1, 5, 40, 10**9])
-@pytest.mark.parametrize("mode", ["threshold", "crc"])
-def test_search_result_does_not_depend_on_its_stream_position(start, mode):
-    vault, index = _crc_vault()
-    rng = random.Random(start)
-    subsets = [rng.sample(range(index.r), index.k) for _ in range(3000)]
-    rule = stop_rule(vault, mode, 9, 64)
-    got = search(index, None, _one_block(subsets), **rule, start=start)
-    assert got == search(index, None, _one_block(subsets), **rule)
-    assert got[0] is not None
-
-
 def _split_rule(name):
     """(index, search keywords, CRC bits or None) of one stop rule."""
     if name == "sweep":
-        return _quiz_index(4), dict(D=6, crc=None, sweep=True), None
+        return _quiz_index(4), dict(D=6, crc=None), None
     if name == "sweep-crc":
         vault, index = _crc_quiz_vault()
-        return index, dict(**stop_rule(vault, "crc", None, 32), sweep=True), 32
+        return index, stop_rule(vault, "crc", None, 32), 32
     vault, index = _crc_vault()
     bits = 64 if name == "crc" else None
     return index, stop_rule(vault, name, 9, bits), bits
@@ -480,11 +481,11 @@ def _split_stream(name, found):
     past two full batches, and the 40-subset quiz streams (64 candidates per
     subset) at trial 26; the shorter streams do not succeed."""
     index, rule, bits = _split_rule(name)
-    sweep = rule.get("sweep", False)
+    sweep = index.offsets is not None
     rng = random.Random(1 if sweep else 3)
     length = (40 if found else 20) if sweep else (1500 if found else 1000)
     subsets = [rng.sample(range(index.r), index.k) for _ in range(length)]
-    want = _oracle_search(index, subsets, rule["D"], sweep, bits=bits)
+    want = _oracle_search(index, subsets, rule["D"], bits=bits)
     assert (want[0] is not None) == found
     return index, rule, np.array(subsets, dtype=np.intp), want
 
@@ -501,8 +502,7 @@ def test_search_over_any_split_of_its_stream_matches_the_oracle(name, cap, found
     size = st.one_of(st.just(1), st.integers(2, cap - 1), st.integers(cap + 1, 3 * cap))
     cuts = itertools.accumulate(data.draw(st.lists(size, max_size=12)))
     blocks = np.split(stream, [c for c in cuts if c < len(stream)])
-    start = data.draw(st.sampled_from([0, 1, 100, 10**6]))
-    assert search(index, None, blocks, **rule, start=start) == want
+    assert search(index, None, blocks, **rule) == want
     assert search(index, None, [stream], **rule) == want
 
 
@@ -522,21 +522,21 @@ def test_each_stop_rule_sizes_its_batch_by_the_arrays_it_builds(monkeypatch):
         return interpolate(xs, ys, q)
 
     monkeypatch.setattr(consensus, "interpolate", spy)
-    ramp = [1, 2, 4, 8, 16, 32, 64, 128]
-    for rule, batches in [(stop_rule(vault, "threshold", 200, None), ramp[:7] + [81] * 11 + [6]),
-                          (stop_rule(vault, "crc", None, 112), ramp + [256] * 3 + [1])]:
+    for rule, batches in [(stop_rule(vault, "threshold", 200, None), [81] * 12 + [52]),
+                          (stop_rule(vault, "crc", None, 112), [256] * 4)]:
         rows.clear()
-        assert search(index, None, [block], **rule)[:2] == (None, 1024)
+        assert search(index, None, [block], **rule) == (None, 1024)
         assert rows == batches
-    # a batch ends with its block, and the next block goes on at full batch
+    # a batch ends with its block, and the next block starts a full batch
     rows.clear()
     search(index, None, [block[:300], block[300:]], **stop_rule(vault, "threshold", 200, None))
-    assert rows == ramp[:7] + [81, 81, 11] + [81] * 8 + [76]
+    assert rows == [81, 81, 81, 57] + [81] * 8 + [76]
 
 
 def test_a_pool_chunk_past_the_first_interpolates_a_full_batch_first(monkeypatch):
     # r = 60: a full batch is 2**14 // 60 = 273 subsets of a 512-subset
-    # chunk; chunk 0 grows from one subset, as one search over the stream does
+    # chunk; over matched points, the verifier's, chunk 0 is cut into
+    # slices of 1, 2, 4, ... subsets, as one search over the stream cuts it
     tpl = gen_template(15, seed=1)
     vault, _ = lock(tpl, Secret.random(64, random.Random(1)), VaultParams(k=6, t=15, r=60),
                     seed=1)
@@ -549,12 +549,16 @@ def test_a_pool_chunk_past_the_first_interpolates_a_full_batch_first(monkeypatch
         return interpolate(xs, ys, q)
 
     monkeypatch.setattr(consensus, "interpolate", spy)
-    stream = (index.r, index.k, "1/attack-chunk", 512, 4 * 512)
+    points = (index._x, index._y)
+    stream = (index.r, index.k, "1/unlock-chunk", 512, 4 * 512)
     for i in range(4):
         rows.clear()
-        assert consensus._run_chunk(index, None, stream, dict(D=index.r, crc=None), i)[:2] == (
+        assert consensus._run_chunk(index, points, stream, dict(D=index.r, crc=None), i) == (
             None, 512)
         assert rows == ([1, 2, 4, 8, 16, 32, 64, 128, 256, 1] if i == 0 else [cap, 512 - cap])
+    rows.clear()
+    consensus.search_pool(index, points, 4 * 512, 512, "1/unlock-chunk", 1, D=index.r, crc=None)
+    assert rows == [1, 2, 4, 8, 16, 32, 64, 128, 256, 1] + [cap, 512 - cap] * 3
 
 
 def test_the_attacker_searches_at_full_batch_from_its_first_subset(monkeypatch):
