@@ -101,9 +101,9 @@ def brute_force_attack(
     pass ``consensus.SEARCH_LIMIT``.  ``exhaustive``
     iterates k-subsets in lexicographic order instead of sampling (tiny
     instances only: without a budget it refuses more than EXHAUSTIVE_LIMIT
-    subsets).  Either way the search runs at full batch from its first
-    subset.  The report is bit-reproducible for a fixed seed and the same
-    for any worker count (``consensus.search_pool``).
+    subsets).  Either way every block of 512 subsets, the first included,
+    is interpolated in one call.  The report is bit-reproducible for a fixed
+    seed and the same for any worker count (``consensus.search_pool``).
     """
     rule = stop_rule(vault, mode, D, bits)
     if budget is None and not exhaustive:

@@ -3,16 +3,18 @@
 Both sides draw k-subsets of a point list, interpolate a candidate through
 each and count the vault records on its graph (threshold rule); the CRC rule
 first checks its CRC coefficient and counts only for the rows that pass.
-One search function and one parallel runner serve both.  A batch of
-subsets is interpolated at once in numpy (Lagrange form).  The Lagrange
-combine and the scan against the powers X**j mod q are each one float64
-matrix product, exact below 2**53 with as many limbs as (q, k) need, one
-for every preset (``matmul_mod``).  Subsets come from one stream of seeded
-chunks, each an (m, k) index array that batches slice, and the first
-accepted row in stream order wins, so results depend neither on the batch
-size nor on the worker count.  The verifier's chunk 0 is cut into slices
-of 1, 2, 4, ... subsets, since its first candidate is usually accepted;
-every other batch is full from its chunk's first subset.  With more than
+One search function and one parallel runner serve both.  Each block of
+subsets, up to a 512-row chunk, is interpolated in one numpy call (Lagrange
+form) and scanned against the vault in slices of a few hundred rows, up to
+the first slice that accepts.  The Lagrange combine and the scan against
+the powers X**j mod q are each one float64 matrix product, exact below
+2**53 with as many limbs as (q, k) need, one for every preset
+(``matmul_mod``).  Subsets come from one stream of seeded chunks, each an
+(m, k) index array, and the first accepted row in stream order wins, so
+results depend neither on the block or slice sizes nor on the worker
+count.  The verifier's chunk 0 is cut into blocks of 1, 2, 4, 8, 16 and 33
+subsets, since its first candidate is usually accepted; every other chunk
+is one block.  With more than
 one worker the calling process searches chunks beside forked helper
 processes, which claim chunk numbers from a shared counter and send their
 results back over pipes.
@@ -45,10 +47,17 @@ from .coding import capacity_bits, rows_pass_crc
 from .quiz import transform_offsets
 from .vault import Vault, coord_shift
 
-# Bound on a batch's largest array (128 KiB): rows x max(r, k*k) under the
-# threshold rule, with its (rows, r) vault values, and rows x k*k under the
-# CRC rule.  At clancy a 256-row scan ran ~6x slower per row under BLAS threads.
+# Bound on a vault scan's (rows, r) values (128 KiB), and on a quiz sweep
+# batch's largest array: rows x n**k x max(r, k*k) under the threshold rule,
+# rows x n**k x k*k under the CRC rule.  At clancy a 256-row scan ran ~6x
+# slower per row under BLAS threads.
 BATCH_ELEMENTS = 2**14
+# Bound on rows x k*k for one interpolation, whose largest arrays are
+# (rows, k, k): 1 MiB each at the bound.  Below a few hundred rows an
+# interpolation costs its ~150 numpy calls more than its arithmetic, so a
+# 512-row block is one call at every preset (100,352 elements at k = 14),
+# while a vault file with k near r still interpolates a few rows at a time.
+INTERPOLATE_ELEMENTS = 2**17
 # Arrays up to this size are inverted with Python integers (the crossover
 # with numpy, measured at q = 65537 and 2**31 - 1 with one pow per element).
 SMALL_INVERSE = 64
@@ -307,24 +316,34 @@ def search(index: VaultIndex, points, blocks, D: int, crc=None):
     is the threshold D on vault hits; when ``crc`` is given, a row must
     first pass the predicate ``crc(coeffs)`` over the (rows, k) coefficient
     array, and only the rows that pass (about one in 65,536) are scanned
-    for their hits.  Each block is cut into batches of the rule's
-    BATCH_ELEMENTS cap, the last one shorter, so a caller that wants small
-    first batches hands over small first blocks.
+    for their hits.  Each block is interpolated in one call (a block of
+    more than INTERPOLATE_ELEMENTS // k**2 rows in several), and its rows,
+    or under the CRC rule its passing rows, are scanned in order in slices
+    of BATCH_ELEMENTS // r, up to the first slice that accepts; rows
+    interpolated past the accepted one are not counted.  A quiz sweep cuts
+    each block into batches of its BATCH_ELEMENTS cap instead, so a caller
+    that wants small first batches hands over small first blocks.
     """
     q, k = index.q, index.k
     sweep = points is None and index.offsets is not None
     xs, ys = (index._x, index._y) if points is None else points
     offsets = np.array(index.offsets if sweep else (0,), dtype=np.int64)
     per_trial = len(offsets) ** k
-    width = k * k if crc is not None else max(index.r, k * k)
-    cap = max(1, BATCH_ELEMENTS // (per_trial * width))
+    if sweep:
+        cap = BATCH_ELEMENTS // (per_trial * (k * k if crc is not None else max(index.r, k * k)))
+    else:
+        cap = INTERPOLATE_ELEMENTS // (k * k)
+    cap, scan = max(1, cap), max(1, BATCH_ELEMENTS // index.r)
     interps = 0
 
-    def accepted(coeffs):  # the rule's passing rows of a (rows, k) array
-        if crc is None:
-            return np.flatnonzero(index.hits(coeffs) >= D)
-        passed = np.flatnonzero(crc(coeffs))
-        return passed[index.hits(coeffs[passed]) >= D] if len(passed) else passed
+    def accepted(coeffs):  # the rule's first passing row of a (rows, k) array, or None
+        rows = np.flatnonzero(crc(coeffs)) if crc is not None else np.arange(len(coeffs))
+        for lo in range(0, len(rows), scan):
+            part = rows[lo:lo + scan]
+            ok = np.flatnonzero(index.hits(coeffs[part]) >= D)
+            if len(ok):
+                return int(part[ok[0]])
+        return None
 
     for sub in (block[lo:lo + cap] for block in blocks for lo in range(0, len(block), cap)):
         if sweep:
@@ -336,19 +355,21 @@ def search(index: VaultIndex, points, blocks, D: int, crc=None):
                 evals = index.values(basis.reshape(-1, k)).astype(np.int64)
                 sums = _assignment_sums(ords, evals.reshape(len(sub), k, index.r), q)
                 passed = np.flatnonzero(index.offset_hits(sums.reshape(-1, index.r)) >= D)
+                row = int(passed[0]) if len(passed) else None
             else:
-                passed = accepted(_assignment_sums(ords, basis, q).reshape(-1, k) % q)
+                row = accepted(_assignment_sums(ords, basis, q).reshape(-1, k) % q)
         else:
             coeffs = interpolate(xs[sub], ys[sub][:, None, :], q).reshape(-1, k)
-            passed = accepted(coeffs)
-        used = int(passed[0]) + 1 if len(passed) else len(sub) * per_trial
-        interps += used
-        if len(passed):
-            if sweep:  # the accepted row's coefficients, from its subset alone
-                b, a = divmod(used - 1, per_trial)
-                coeffs = _assignment_sums(ords[b:b + 1], basis[b:b + 1], q)[0] % q
-                return tuple(coeffs[a].tolist()), interps
-            return tuple(coeffs[used - 1].tolist()), interps
+            row = accepted(coeffs)
+        if row is None:
+            interps += len(sub) * per_trial
+            continue
+        interps += row + 1
+        if sweep:  # the accepted row's coefficients, from its subset alone
+            b, a = divmod(row, per_trial)
+            coeffs = _assignment_sums(ords[b:b + 1], basis[b:b + 1], q)[0] % q
+            return tuple(coeffs[a].tolist()), interps
+        return tuple(coeffs[row].tolist()), interps
     return None, interps
 
 
@@ -396,15 +417,15 @@ def usable_cpus() -> int:
 def _chunk_blocks(points, stream: tuple, chunks: range):
     """The blocks of ``chunks`` of the ``_chunk_subsets`` stream.  Given
     matched ``points``, the verifier's, chunk 0 is handed over as slices of
-    1, 2, 4, ... rows, since its first candidate is usually accepted; every
-    other chunk, and every chunk of the attacker, is one block, searched at
-    full batch from its first row."""
+    1, 2, 4, ... rows, the last one taking the tail (1, 2, 4, 8, 16, 33 of
+    64), since its first candidate is usually accepted; every other chunk,
+    and every chunk of the attacker, is one block."""
     blocks = _chunk_subsets(*stream, chunks)
     if points is None or chunks.start or not chunks:
         return blocks
     first = next(blocks)
-    return itertools.chain([first[(1 << j) - 1:(2 << j) - 1]
-                            for j in range(len(first).bit_length())], blocks)
+    cuts = [(1 << j) - 1 for j in range(1, (len(first) + 1).bit_length() - 1)]
+    return itertools.chain(np.split(first, cuts), blocks)
 
 
 def _run_chunk(index: VaultIndex, points, stream: tuple, rule: dict, i: int):

@@ -270,6 +270,29 @@ def test_search_matches_one_candidate_oracle(quiz_n, budget):
         assert got[1] == len(subsets) or got[0] == tuple(truth.coeffs)
 
 
+@pytest.mark.parametrize("mode", ["threshold", "crc"])
+def test_rows_interpolated_past_the_accepted_one_are_not_counted(mode, schedule):
+    # r = 60: a 512-row block is one interpolation, scanned 273 rows at a
+    # time; genuine subsets at rows 300 and 400 of otherwise chaff subsets,
+    # so the threshold rule accepts in its second scan slice, the CRC rule
+    # scans only those two rows, and both stop at row 300 with 301
+    # interpolations counted of the 512 made
+    tpl = gen_template(15, seed=5)
+    vault, truth = lock(tpl, Secret.random(64, random.Random(5)),
+                        VaultParams(k=6, t=15, r=60, crc=True), seed=5)
+    index = VaultIndex(vault)
+    rng = random.Random(5)
+    chaff = [i for i in range(vault.r) if i not in truth.genuine_indices]
+    subsets = [rng.sample(chaff, 6) for _ in range(512)]
+    subsets[300] = list(truth.genuine_indices[:6])
+    subsets[400] = list(truth.genuine_indices[6:12])
+    bits = 64 if mode == "crc" else None
+    rule = stop_rule(vault, mode, None, bits)
+    got = search(index, None, _one_block(subsets), **rule)
+    assert got == (tuple(truth.coeffs), 301) == _oracle_search(index, subsets, rule["D"], bits)
+    assert schedule == dict(interpolate=[512], scan=[273, 239] if bits is None else [2])
+
+
 def _crc_quiz_vault():
     # k = 3 carries 32 secret bits beside its CRC coefficient; n**k = 64
     tpl = gen_template(8, seed=4)
@@ -478,7 +501,7 @@ def _split_rule(name):
 def _split_stream(name, found):
     """(index, rule, the (m, k) stream, the oracle's result) for one stop
     rule.  The 1500-subset stream of the k = 6 vault succeeds at trial 1342,
-    past two full batches, and the 40-subset quiz streams (64 candidates per
+    past three full scan slices, and the 40-subset quiz streams (64 candidates per
     subset) at trial 26; the shorter streams do not succeed."""
     index, rule, bits = _split_rule(name)
     sweep = index.offsets is not None
@@ -490,8 +513,10 @@ def _split_stream(name, found):
     return index, rule, np.array(subsets, dtype=np.intp), want
 
 
-# the batch caps: 2**14 // 40 (r = 40), 2**14 // 36 (k*k = 36 under the CRC
-# rule), 2**14 // (64 * 30) and 2**14 // (64 * 9) for the quiz sweeps
+# cut sizes around a cap: the threshold rule's scan slice 2**14 // 40 (r = 40),
+# 2**14 // 36 under the CRC rule (each block is one interpolation, up to
+# 2**17 // 36 rows), and the quiz sweeps' batches 2**14 // (64 * 30) and
+# 2**14 // (64 * 9)
 @pytest.mark.parametrize("name, cap", [("threshold", 409), ("crc", 455), ("sweep", 8),
                                        ("sweep-crc", 28)])
 @pytest.mark.parametrize("found", [True, False])
@@ -506,95 +531,120 @@ def test_search_over_any_split_of_its_stream_matches_the_oracle(name, cap, found
     assert search(index, None, [stream], **rule) == want
 
 
-def test_each_stop_rule_sizes_its_batch_by_the_arrays_it_builds(monkeypatch):
-    # r = 200, k = 8: the CRC rule's largest array is the (rows, k, k)
-    # differences, a full batch 2**14 // 64 = 256 rows; the threshold rule's
-    # is the (rows, r) vault values, 2**14 // 200 = 81 rows
+@pytest.fixture
+def schedule(monkeypatch):
+    """Rows per ``interpolate`` call and rows per ``VaultIndex.hits`` scan,
+    in call order, of the searches run while the fixture is active."""
+    calls = dict(interpolate=[], scan=[])
+    hits = VaultIndex.hits
+
+    def interpolate_spy(xs, ys, q):
+        calls["interpolate"].append(len(xs))
+        return interpolate(xs, ys, q)
+
+    def hits_spy(self, coeffs):
+        calls["scan"].append(len(coeffs))
+        return hits(self, coeffs)
+
+    monkeypatch.setattr(consensus, "interpolate", interpolate_spy)
+    monkeypatch.setattr(VaultIndex, "hits", hits_spy)
+    return calls
+
+
+def _clear(calls):
+    for rows in calls.values():
+        rows.clear()
+
+
+def test_each_stop_rule_sizes_its_batch_by_the_arrays_it_builds(schedule):
+    # r = 200, k = 8: one interpolation holds 2**17 // 64 = 2048 rows of its
+    # (rows, k, k) arrays, so a 1024-row block is one call; the threshold
+    # rule scans its (rows, r) vault values 2**14 // 200 = 81 rows at a
+    # time, and the CRC rule scans only the rows that pass its predicate
     rng = random.Random(8)
     q = 65537
     vault = _vault(q, rng.sample(range(q), 200), [rng.randrange(q) for _ in range(200)], 0, k=8)
     index = VaultIndex(vault)
     block = np.array([rng.sample(range(200), 8) for _ in range(1024)], dtype=np.intp)
-    rows = []
-
-    def spy(xs, ys, q):
-        rows.append(len(xs))
-        return interpolate(xs, ys, q)
-
-    monkeypatch.setattr(consensus, "interpolate", spy)
-    for rule, batches in [(stop_rule(vault, "threshold", 200, None), [81] * 12 + [52]),
-                          (stop_rule(vault, "crc", None, 112), [256] * 4)]:
-        rows.clear()
+    for rule, scans in [(stop_rule(vault, "threshold", 200, None), [81] * 12 + [52]),
+                        (stop_rule(vault, "crc", None, 112), [])]:
+        _clear(schedule)
         assert search(index, None, [block], **rule) == (None, 1024)
-        assert rows == batches
-    # a batch ends with its block, and the next block starts a full batch
-    rows.clear()
+        assert schedule == dict(interpolate=[1024], scan=scans)
+    # neither a call nor a scan crosses a block, and the next block starts
+    # a full scan slice
+    _clear(schedule)
     search(index, None, [block[:300], block[300:]], **stop_rule(vault, "threshold", 200, None))
-    assert rows == [81, 81, 81, 57] + [81] * 8 + [76]
+    assert schedule == dict(interpolate=[300, 724], scan=[81, 81, 81, 57] + [81] * 8 + [76])
 
 
-def test_a_pool_chunk_past_the_first_interpolates_a_full_batch_first(monkeypatch):
-    # r = 60: a full batch is 2**14 // 60 = 273 subsets of a 512-subset
-    # chunk; over matched points, the verifier's, chunk 0 is cut into
-    # slices of 1, 2, 4, ... subsets, as one search over the stream cuts it
+def test_a_pool_chunk_past_the_first_interpolates_a_full_batch_first(schedule):
+    # r = 60: a 512-subset chunk is one interpolation, scanned 2**14 // 60 =
+    # 273 subsets at a time; over matched points, the verifier's, chunk 0 is
+    # cut into blocks of 1, 2, 4, ... subsets, the last taking the tail, as
+    # one search over the stream cuts it
     tpl = gen_template(15, seed=1)
     vault, _ = lock(tpl, Secret.random(64, random.Random(1)), VaultParams(k=6, t=15, r=60),
                     seed=1)
     index = VaultIndex(vault)
     cap = consensus.BATCH_ELEMENTS // index.r
-    rows = []
-
-    def spy(xs, ys, q):
-        rows.append(len(xs))
-        return interpolate(xs, ys, q)
-
-    monkeypatch.setattr(consensus, "interpolate", spy)
+    first = [1, 2, 4, 8, 16, 32, 64, 128, 257]
     points = (index._x, index._y)
     stream = (index.r, index.k, "1/unlock-chunk", 512, 4 * 512)
     for i in range(4):
-        rows.clear()
+        _clear(schedule)
         assert consensus._run_chunk(index, points, stream, dict(D=index.r, crc=None), i) == (
             None, 512)
-        assert rows == ([1, 2, 4, 8, 16, 32, 64, 128, 256, 1] if i == 0 else [cap, 512 - cap])
-    rows.clear()
+        assert schedule == (dict(interpolate=first, scan=first) if i == 0 else
+                            dict(interpolate=[512], scan=[cap, 512 - cap]))
+    _clear(schedule)
     consensus.search_pool(index, points, 4 * 512, 512, "1/unlock-chunk", 1, D=index.r, crc=None)
-    assert rows == [1, 2, 4, 8, 16, 32, 64, 128, 256, 1] + [cap, 512 - cap] * 3
+    assert schedule == dict(interpolate=first + [512] * 3, scan=first + [cap, 512 - cap] * 3)
 
 
-def test_the_attacker_searches_at_full_batch_from_its_first_subset(monkeypatch):
+def test_the_attacker_searches_at_full_batch_from_its_first_subset(schedule, monkeypatch):
     # the r = 60 vault above: every 512-subset chunk of an attack, chunk 0
-    # included, is a full batch of 273 subsets and then the 239 left, and
-    # an exhaustive attack's first block starts full too; the verifier's
-    # chunk 0 still grows from one candidate
+    # included, is one interpolation, scanned as 273 subsets and then the
+    # 239 left, and an exhaustive attack's first block is whole too; the
+    # verifier's chunk 0 still grows from one candidate
     tpl = gen_template(15, seed=1)
     vault, _ = lock(tpl, Secret.random(64, random.Random(1)), VaultParams(k=6, t=15, r=60),
                     seed=1)
     index = VaultIndex(vault)
-    rows, rules = [], []
-
-    def spy(xs, ys, q):
-        rows.append(len(xs))
-        return interpolate(xs, ys, q)
+    rules = []
 
     def pool_spy(*args, **rule):
         rules.append(rule)
         return consensus.search_pool(*args, **rule)
 
-    monkeypatch.setattr(consensus, "interpolate", spy)
     monkeypatch.setattr(attack, "search_pool", pool_spy)
     assert brute_force_attack(vault, D=vault.r, budget=4 * 512, seed=1).trials == 4 * 512
-    assert rows == [273, 239] * 4
+    assert schedule == dict(interpolate=[512] * 4, scan=[273, 239] * 4)
     stream = (index.r, index.k, "1/attack-chunk", 512, 4 * 512)
     for i in range(4):
-        rows.clear()
+        _clear(schedule)
         assert consensus._run_chunk(index, None, stream, rules[0], i)[:2] == (None, 512)
-        assert rows == [273, 239]
-    rows.clear()
+        assert schedule == dict(interpolate=[512], scan=[273, 239])
+    _clear(schedule)
     assert brute_force_attack(vault, D=vault.r, budget=600, exhaustive=True).trials == 600
-    assert rows == [273, 239, 88]
-    rows.clear()
+    assert schedule == dict(interpolate=[512, 88], scan=[273, 239, 88])
+    _clear(schedule)
     assert unlock(vault, tpl, D=vault.r, budget=64, seed=1).candidates == 64
-    assert rows == [1, 2, 4, 8, 16, 32, 1]
+    assert schedule == dict(interpolate=[1, 2, 4, 8, 16, 33], scan=[1, 2, 4, 8, 16, 33])
+
+
+def test_a_vault_with_k_equal_to_r_interpolates_within_the_element_bound(schedule):
+    # k = r = 60: a row's (k, k) arrays hold 3,600 elements, so one call
+    # takes 2**17 // 3600 = 36 rows of a block and never more
+    rng = random.Random(9)
+    q = 65537
+    vault = _vault(q, rng.sample(range(q), 60), [rng.randrange(q) for _ in range(60)], 0, k=60)
+    index = VaultIndex(vault)
+    block = np.array([rng.sample(range(60), 60) for _ in range(100)], dtype=np.intp)
+    points = (index._x, np.array([rng.randrange(q) for _ in range(60)], dtype=np.int64))
+    assert search(index, points, [block], D=60) == (None, 100)
+    assert schedule["interpolate"] == [36, 36, 28]
+    assert max(schedule["interpolate"]) * 60 * 60 <= consensus.INTERPOLATE_ELEMENTS
 
 
 def _with_points(vault, points):
