@@ -52,8 +52,8 @@ from .vault import Vault, coord_shift
 # rows x n**k x k*k under the CRC rule.  At clancy a 256-row scan ran ~6x
 # slower per row under BLAS threads.
 BATCH_ELEMENTS = 2**14
-# Bound on rows x k*k for one interpolation, whose largest arrays are
-# (rows, k, k): 1 MiB each at the bound.  Below a few hundred rows an
+# Bound on rows x k*k for one interpolation, whose largest array is its
+# (rows, k, k) float64 basis: 1 MiB at the bound.  Below a few hundred rows an
 # interpolation costs its ~150 numpy calls more than its arithmetic, so a
 # 512-row block is one call at every preset (100,352 elements at k = 14),
 # while a vault file with k near r still interpolates a few rows at a time.
@@ -238,15 +238,6 @@ def interpolate(xs: np.ndarray, ys: np.ndarray, q: int) -> np.ndarray:
     is the sum over i of ys[b, a, i] / prod_{m != i} (x_i - x_m) times the
     X**j coefficient of prod_{m != i} (X - x_m)."""
     rows, k = xs.shape
-    # denominators prod_{j != i} (x_i - x_j); the differences stay in
-    # (-q, q), since each product is reduced and stays below q**2 < 2**62
-    diff = xs[:, :, None] - xs[:, None, :]
-    diff.reshape(rows, k * k)[:, :: k + 1] = 1
-    cols = diff.transpose(2, 0, 1)
-    denom = cols[0].copy()
-    for col in cols[1:]:
-        denom *= col
-        denom %= q
     # master polynomial prod_j (X - x_j), monic, constant first: multiply by
     # X + a_j with a_j = q - x_j, one factor at a time
     root = np.zeros((rows, k + 1), dtype=np.int64)
@@ -255,17 +246,28 @@ def interpolate(xs: np.ndarray, ys: np.ndarray, q: int) -> np.ndarray:
         nxt = root * a
         nxt[:, 1:] += root[:, :-1]
         root = nxt % q
-    # numerators root / (X - x_i) by synthetic division, all i at once;
-    # built as [j, b, i], the X**j coefficient of row b's i-th numerator
-    numer = np.empty((k, rows, k), dtype=np.int64)
-    numer[k - 1] = 1
-    root_t = root.T[:, :, None]
+    # numerators root / (X - x_i) by synthetic division, all i at once, top
+    # coefficient first: basis[b, i, j] is the X**j coefficient of row b's
+    # i-th numerator.  Horner's rule over the same coefficients gives each
+    # numerator at its own x_i, the denominator prod_{m != i} (x_i - x_m).
+    # Products stay below q**2 < 2**62.  The basis is the only (rows, k, k)
+    # array: with two more, a 512-row block at k = 14 took about 670 page
+    # faults per call, as the allocator handed their 2.4 MB back to the
+    # system on every free.
+    basis = np.empty((rows, k, k))
+    basis[:, :, k - 1] = 1
+    numer = np.ones((rows, k), dtype=np.int64)
+    denom = np.ones((rows, k), dtype=np.int64)
     for j in range(k - 1, 0, -1):
-        step = xs * numer[j]
-        step += root_t[j]
-        np.remainder(step, q, out=numer[j - 1])
+        numer *= xs
+        numer += root[:, j, None]
+        numer %= q
+        basis[:, :, j - 1] = numer
+        denom *= xs
+        denom += numer
+        denom %= q
     weights = ys * _inverse(denom, q)[:, None, :] % q
-    return matmul_mod(weights, numer.transpose(1, 2, 0).astype(np.float64), q).astype(np.int64)
+    return matmul_mod(weights, basis, q).astype(np.int64)
 
 
 def stop_rule(vault: Vault, mode: str, D: int | None, bits: int | None) -> dict:
