@@ -251,9 +251,9 @@ def interpolate(xs: np.ndarray, ys: np.ndarray, q: int) -> np.ndarray:
     # i-th numerator.  Horner's rule over the same coefficients gives each
     # numerator at its own x_i, the denominator prod_{m != i} (x_i - x_m).
     # Products stay below q**2 < 2**62.  The basis is the only (rows, k, k)
-    # array: with two more, a 512-row block at k = 14 took about 670 page
-    # faults per call, as the allocator handed their 2.4 MB back to the
-    # system on every free.
+    # array, since the allocator hands arrays this large back to the system
+    # when freed: two more cost a 512-row block at k = 14 about 670 page
+    # faults per call.
     basis = np.empty((rows, k, k))
     basis[:, :, k - 1] = 1
     numer = np.ones((rows, k), dtype=np.int64)
@@ -332,7 +332,8 @@ def search(index: VaultIndex, points, blocks, D: int, crc=None):
     offsets = np.array(index.offsets if sweep else (0,), dtype=np.int64)
     per_trial = len(offsets) ** k
     if sweep:
-        cap = BATCH_ELEMENTS // (per_trial * (k * k if crc is not None else max(index.r, k * k)))
+        width = k * k if crc is not None else max(index.r, k * k)
+        cap = BATCH_ELEMENTS // (per_trial * width)
     else:
         cap = INTERPOLATE_ELEMENTS // (k * k)
     cap, scan = max(1, cap), max(1, BATCH_ELEMENTS // index.r)

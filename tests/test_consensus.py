@@ -501,8 +501,9 @@ def _split_rule(name):
 def _split_stream(name, found):
     """(index, rule, the (m, k) stream, the oracle's result) for one stop
     rule.  The 1500-subset stream of the k = 6 vault succeeds at trial 1342,
-    past three full scan slices, and the 40-subset quiz streams (64 candidates per
-    subset) at trial 26; the shorter streams do not succeed."""
+    past three full scan slices, and the 40-subset quiz streams (64
+    candidates per subset) at trial 26; the shorter streams do not
+    succeed."""
     index, rule, bits = _split_rule(name)
     sweep = index.offsets is not None
     rng = random.Random(1 if sweep else 3)
@@ -558,7 +559,7 @@ def _clear(calls):
 
 def test_each_stop_rule_sizes_its_batch_by_the_arrays_it_builds(schedule):
     # r = 200, k = 8: one interpolation holds 2**17 // 64 = 2048 rows of its
-    # (rows, k, k) arrays, so a 1024-row block is one call; the threshold
+    # (rows, k, k) basis, so a 1024-row block is one call; the threshold
     # rule scans its (rows, r) vault values 2**14 // 200 = 81 rows at a
     # time, and the CRC rule scans only the rows that pass its predicate
     rng = random.Random(8)
