@@ -25,8 +25,9 @@ offsets.  Neither the attacker nor the verifier can know j for records they
 did not match to a minutia.  A search over the vault's own records sweeps
 all n**k assignments of offsets to a subset's ordinates.  Interpolation is
 linear in the ordinates, so each subset's k Lagrange basis polynomials,
-interpolated and evaluated once, give all n**k candidates and their values
-by broadcast sums.
+interpolated once, give the coefficients of all n**k candidates by
+broadcast sums, and those rows go through the rule and the scan like any
+other block's.
 """
 
 from __future__ import annotations
@@ -47,10 +48,10 @@ from .coding import capacity_bits, rows_pass_crc
 from .quiz import transform_offsets
 from .vault import Vault, coord_shift
 
-# Bound on a vault scan's (rows, r) values (128 KiB), and on a quiz sweep
-# batch's largest array: rows x n**k x max(r, k*k) under the threshold rule,
-# rows x n**k x k*k under the CRC rule.  At clancy a 256-row scan ran ~6x
-# slower per row under BLAS threads.
+# Bound on a vault scan's (rows, r) values (128 KiB), and on rows x n**k x
+# k*k for a quiz sweep's batch of rows subsets (28 at k = 3, n = 4), since
+# the CRC predicate checks a batch's candidates before any scan.  At clancy
+# a 256-row scan ran ~6x slower per row under BLAS threads.
 BATCH_ELEMENTS = 2**14
 # Bound on rows x k*k for one interpolation, whose largest array is its
 # (rows, k, k) float64 basis: 1 MiB at the bound.  Below a few hundred rows an
@@ -65,10 +66,9 @@ SMALL_INVERSE = 64
 # It covers q = 65537, the modulus of every preset; vault files allow q up
 # to 2**31, where the Fermat loop stays.
 INVERSE_TABLE_Q = 2**17
-# Bound on n**k * max(r, k*k) for one subset's quiz sweep.  Its largest array
-# is the (n**k, r) int64 table of assignment sums at the vault abscissae
-# ((n**k, k) coefficients under the CRC rule), 128 MiB at the bound; the
-# attack refuses a larger sweep before searching.
+# Bound on n**k * max(r, k*k) for one subset's quiz sweep; the attack refuses
+# a larger sweep before searching.  A subset's (n**k, k) int64 candidate
+# coefficients are then at most 128 MiB.
 SWEEP_ELEMENTS = 2**24
 # Bound on the budget of any search, in subsets, explicit or default: ten
 # times uludag's default threshold budget (20 * C(200,8)/C(25,8), about
@@ -100,41 +100,28 @@ class VaultIndex:
             self.offsets = None
         self._powers: dict[int, np.ndarray] = {}
 
-    def values(self, coeffs: np.ndarray) -> np.ndarray:
-        """g(X) mod q at every record X, as float64 (rows, r), for a
-        (rows, width) array of reduced coefficients."""
+    def hits(self, coeffs: np.ndarray) -> np.ndarray:
+        """Vault records on each row's graph (any-index match for quiz
+        vaults), as exact float64 counts, for a (rows, width) array of
+        reduced coefficients.  A quiz record counts when (g(X) - Y) mod q is
+        a transform offset m * step, m < n: the residue over step, rounded
+        to the nearest integer m, is exact for a multiple of step (float64
+        holds both below 2**31), and no other residue equals m * step, so
+        the test is exact with no table of q entries."""
         width = coeffs.shape[1]
         if width not in self._powers:
             powers = np.ones((width, self.r), dtype=np.int64)
             for j in range(1, width):
                 powers[j] = powers[j - 1] * self._x % self.q
             self._powers[width] = powers.astype(np.float64)
-        return matmul_mod(coeffs, self._powers[width], self.q)
-
-    def hits(self, coeffs: np.ndarray) -> np.ndarray:
-        """Vault records on each row's graph (any-index match for quiz
-        vaults), as exact float64 counts, for a (rows, width) array of
-        reduced coefficients."""
-        vals = self.values(coeffs)
+        vals = matmul_mod(coeffs, self._powers[width], self.q)
         if self.offsets is None:
             return (vals == self._y) @ self._ones
-        return self.offset_hits(vals.astype(np.int64))
-
-    def offset_hits(self, vals: np.ndarray) -> np.ndarray:
-        """Per row of the int64 (rows, r) array ``vals``, congruent to g(X)
-        mod q but not necessarily reduced, the count (float64) of records
-        whose (g(X) - Y) mod q is a transform offset m * step, m < n; ``vals``
-        is overwritten.
-        Exact integer floor divisions and no table of q entries: n * step <= q,
-        so a residue is an offset iff it is a multiple of step below n * step."""
         vals -= self._y
-        div = vals // self.q
-        div *= self.q
-        vals -= div
-        np.floor_divide(vals, self._step, out=div)
-        div *= self._step
-        hit = div == vals
-        hit &= vals < len(self.offsets) * self._step
+        vals += (vals < 0) * float(self.q)
+        m = np.rint(vals * (1 / self._step))
+        hit = m * self._step == vals
+        hit &= m < len(self.offsets)
         return hit @ self._ones
 
     def count_hits(self, coeffs) -> int:
@@ -314,65 +301,43 @@ def search(index: VaultIndex, points, blocks, D: int, crc=None):
     records.  A quiz vault's stored ordinates hide their transform index,
     so a subset of its own records is tried under all n**k assignments of
     transform offsets, in itertools.product order (the caller bounds n**k
-    by SWEEP_ELEMENTS); matched points carry the recovered index.  The rule
-    is the threshold D on vault hits; when ``crc`` is given, a row must
-    first pass the predicate ``crc(coeffs)`` over the (rows, k) coefficient
-    array, and only the rows that pass (about one in 65,536) are scanned
-    for their hits.  Each block is interpolated in one call (a block of
-    more than INTERPOLATE_ELEMENTS // k**2 rows in several), and its rows,
-    or under the CRC rule its passing rows, are scanned in order in slices
-    of BATCH_ELEMENTS // r, up to the first slice that accepts; rows
-    interpolated past the accepted one are not counted.  A quiz sweep cuts
-    each block into batches of its BATCH_ELEMENTS cap instead, so a caller
-    that wants small first batches hands over small first blocks.
+    by SWEEP_ELEMENTS), each a candidate row; matched points carry the
+    recovered index.  The rule is the threshold D on vault hits; when
+    ``crc`` is given, a row must first pass the predicate ``crc(coeffs)``
+    over the (rows, k) coefficient array, and only the rows that pass
+    (about one in 65,536) are scanned for their hits.  Each block is
+    interpolated in one call, a block of more than
+    INTERPOLATE_ELEMENTS // k**2 subsets (BATCH_ELEMENTS // (n**k * k**2)
+    on a sweep) in several, and its candidate rows, or under the CRC rule
+    its passing rows, are scanned in order in slices of BATCH_ELEMENTS // r,
+    up to the first slice that accepts; rows built past the accepted one
+    are not counted.
     """
     q, k = index.q, index.k
     sweep = points is None and index.offsets is not None
     xs, ys = (index._x, index._y) if points is None else points
     offsets = np.array(index.offsets if sweep else (0,), dtype=np.int64)
-    per_trial = len(offsets) ** k
-    if sweep:
-        width = k * k if crc is not None else max(index.r, k * k)
-        cap = BATCH_ELEMENTS // (per_trial * width)
-    else:
-        cap = INTERPOLATE_ELEMENTS // (k * k)
-    cap, scan = max(1, cap), max(1, BATCH_ELEMENTS // index.r)
+    bound = BATCH_ELEMENTS if sweep else INTERPOLATE_ELEMENTS
+    cap = max(1, bound // (len(offsets) ** k * k * k))
+    scan = max(1, BATCH_ELEMENTS // index.r)
     interps = 0
-
-    def accepted(coeffs):  # the rule's first passing row of a (rows, k) array, or None
-        rows = np.flatnonzero(crc(coeffs)) if crc is not None else np.arange(len(coeffs))
-        for lo in range(0, len(rows), scan):
-            part = rows[lo:lo + scan]
-            ok = np.flatnonzero(index.hits(coeffs[part]) >= D)
-            if len(ok):
-                return int(part[ok[0]])
-        return None
-
     for sub in (block[lo:lo + cap] for block in blocks for lo in range(0, len(block), cap)):
         if sweep:
             # under assignment a a subset's candidate is the sum over i of
             # (y_i + offset[a_i]) * L_i, with L_i its Lagrange basis
             basis = interpolate(xs[sub], np.eye(k, dtype=np.int64), q)
             ords = (ys[sub][:, :, None] + offsets) % q
-            if crc is None:
-                evals = index.values(basis.reshape(-1, k)).astype(np.int64)
-                sums = _assignment_sums(ords, evals.reshape(len(sub), k, index.r), q)
-                passed = np.flatnonzero(index.offset_hits(sums.reshape(-1, index.r)) >= D)
-                row = int(passed[0]) if len(passed) else None
-            else:
-                row = accepted(_assignment_sums(ords, basis, q).reshape(-1, k) % q)
+            coeffs = _assignment_sums(ords, basis, q).reshape(-1, k) % q
         else:
             coeffs = interpolate(xs[sub], ys[sub][:, None, :], q).reshape(-1, k)
-            row = accepted(coeffs)
-        if row is None:
-            interps += len(sub) * per_trial
-            continue
-        interps += row + 1
-        if sweep:  # the accepted row's coefficients, from its subset alone
-            b, a = divmod(row, per_trial)
-            coeffs = _assignment_sums(ords[b:b + 1], basis[b:b + 1], q)[0] % q
-            return tuple(coeffs[a].tolist()), interps
-        return tuple(coeffs[row].tolist()), interps
+        rows = np.flatnonzero(crc(coeffs)) if crc is not None else np.arange(len(coeffs))
+        for lo in range(0, len(rows), scan):
+            part = rows[lo:lo + scan]
+            ok = np.flatnonzero(index.hits(coeffs[part]) >= D)
+            if len(ok):
+                row = int(part[ok[0]])
+                return tuple(coeffs[row].tolist()), interps + row + 1
+        interps += len(coeffs)
     return None, interps
 
 

@@ -293,12 +293,12 @@ def test_rows_interpolated_past_the_accepted_one_are_not_counted(mode, schedule)
     assert schedule == dict(interpolate=[512], scan=[273, 239] if bits is None else [2])
 
 
-def _crc_quiz_vault():
+def _crc_quiz_vault(truth=False):
     # k = 3 carries 32 secret bits beside its CRC coefficient; n**k = 64
     tpl = gen_template(8, seed=4)
-    vault, _ = lock(tpl, Secret.random(32, random.Random(4)),
-                    VaultParams(k=3, t=8, r=30, quiz_n=4, crc=True), seed=4)
-    return vault, VaultIndex(vault)
+    vault, lock_truth = lock(tpl, Secret.random(32, random.Random(4)),
+                             VaultParams(k=3, t=8, r=30, quiz_n=4, crc=True), seed=4)
+    return (vault, VaultIndex(vault), lock_truth) if truth else (vault, VaultIndex(vault))
 
 
 @pytest.mark.parametrize("budget", [10_000, 30, 3])
@@ -516,9 +516,9 @@ def _split_stream(name, found):
 
 # cut sizes around a cap: the threshold rule's scan slice 2**14 // 40 (r = 40),
 # 2**14 // 36 under the CRC rule (each block is one interpolation, up to
-# 2**17 // 36 rows), and the quiz sweeps' batches 2**14 // (64 * 30) and
-# 2**14 // (64 * 9)
-@pytest.mark.parametrize("name, cap", [("threshold", 409), ("crc", 455), ("sweep", 8),
+# 2**17 // 36 rows), and the quiz sweep's batch 2**14 // (64 * 9) under
+# either rule
+@pytest.mark.parametrize("name, cap", [("threshold", 409), ("crc", 455), ("sweep", 28),
                                        ("sweep-crc", 28)])
 @pytest.mark.parametrize("found", [True, False])
 @settings(deadline=None)
@@ -646,6 +646,27 @@ def test_a_vault_with_k_equal_to_r_interpolates_within_the_element_bound(schedul
     assert search(index, points, [block], D=60) == (None, 100)
     assert schedule["interpolate"] == [36, 36, 28]
     assert max(schedule["interpolate"]) * 60 * 60 <= consensus.INTERPOLATE_ELEMENTS
+
+
+@pytest.mark.parametrize("mode", ["threshold", "crc"])
+def test_a_quiz_sweep_scans_its_candidate_rows_like_plain_rows(mode, schedule):
+    # r = 30, k = 3, n = 4: a sweep interpolates 2**14 // (64 * 9) = 28
+    # subsets per call, and their 1,792 candidates are scanned 2**14 // 30 =
+    # 546 rows at a time; a genuine subset at row 40 of otherwise chaff
+    # subsets is accepted in the second call's second slice, and the CRC
+    # rule scans only the rows that pass its predicate
+    vault, index, truth = _crc_quiz_vault(truth=True)
+    rng = random.Random(23)
+    chaff = [i for i in range(vault.r) if i not in truth.genuine_indices]
+    subsets = [rng.sample(chaff, 3) for _ in range(100)]
+    subsets[40] = list(truth.genuine_indices[:3])
+    bits = 32 if mode == "crc" else None
+    rule = stop_rule(vault, mode, None, bits)
+    got = search(index, None, _one_block(subsets), **rule)
+    assert got == _oracle_search(index, subsets, rule["D"], bits)
+    assert got[0] is not None and (got[1] - 1) // 64 == 40
+    scans = [546, 546, 546, 154, 546, 546] if bits is None else [1]
+    assert schedule == dict(interpolate=[28, 28], scan=scans)
 
 
 def _with_points(vault, points):
