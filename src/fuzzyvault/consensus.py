@@ -62,6 +62,12 @@ INTERPOLATE_ELEMENTS = 2**17
 # Arrays up to this size are inverted with Python integers (the crossover
 # with numpy, measured at q = 65537 and 2**31 - 1 with one pow per element).
 SMALL_INVERSE = 64
+# Arrays up to this size are reduced mod q by numpy's %, larger ones by
+# floor division (``_reduce``).  Measured at q = 65537 and 2**31 - 1, %
+# costs about 3.3 ns per element and floor division about 1.5, but floor
+# division's three calls cost about 1 us more per array; the two meet near
+# 512 elements.
+SMALL_REDUCE = 512
 # Largest q whose inverses come from a per-process table (1 MiB at most).
 # It covers q = 65537, the modulus of every preset; vault files allow q up
 # to 2**31, where the Fermat loop stays.
@@ -87,7 +93,7 @@ class VaultIndex:
     def __init__(self, vault: Vault):
         self.q = vault.q
         self.k = vault.k
-        self._x = (vault.x << coord_shift(vault.q) | vault.y) % self.q
+        self._x = _reduce(vault.x << coord_shift(vault.q) | vault.y, self.q)
         self._y = vault.Y
         self.r = len(self._x)
         if len(set(self._x.tolist())) < self.r:
@@ -112,7 +118,7 @@ class VaultIndex:
         if width not in self._powers:
             powers = np.ones((width, self.r), dtype=np.int64)
             for j in range(1, width):
-                powers[j] = powers[j - 1] * self._x % self.q
+                powers[j] = _reduce(powers[j - 1] * self._x, self.q)
             self._powers[width] = powers.astype(np.float64)
         vals = matmul_mod(coeffs, self._powers[width], self.q)
         if self.offsets is None:
@@ -127,7 +133,7 @@ class VaultIndex:
     def count_hits(self, coeffs) -> int:
         """Number of vault records on the candidate's graph (any-index match
         for quiz vaults).  Records used to build the candidate count too."""
-        row = np.asarray(coeffs, dtype=np.int64).reshape(1, -1) % self.q
+        row = _reduce(np.array(coeffs, dtype=np.int64).reshape(1, -1), self.q)
         return int(self.hits(row)[0])
 
 
@@ -175,7 +181,7 @@ def _inverse_table(q: int) -> np.ndarray:
     while n < q - 1:
         m = min(n, q - 1 - n)
         np.multiply(powers[:m], pow(g, n, q), out=powers[n:n + m])
-        powers[n:n + m] %= q
+        _reduce(powers[n:n + m], q)
         n += m
     table = np.zeros(q, dtype=np.int64)
     table[1] = 1
@@ -207,12 +213,24 @@ def _inverse(a: np.ndarray, q: int) -> np.ndarray:
     while e:
         if e & 1:
             out *= base
-            out %= q
+            _reduce(out, q)
         e >>= 1
         if e:
             base *= base
-            base %= q
+            _reduce(base, q)
     return out
+
+
+def _reduce(v: np.ndarray, q: int) -> np.ndarray:
+    """Reduce the int64 array v mod q in place, into [0, q), and return it.
+    Above SMALL_REDUCE elements this is v -= v // q * q: numpy divides an
+    int64 array by one scalar with a precomputed multiplier, about twice as
+    fast per element as its %, which costs less only on small arrays."""
+    if v.size <= SMALL_REDUCE:
+        v %= q
+    else:
+        v -= v // q * q
+    return v
 
 
 def interpolate(xs: np.ndarray, ys: np.ndarray, q: int) -> np.ndarray:
@@ -225,35 +243,52 @@ def interpolate(xs: np.ndarray, ys: np.ndarray, q: int) -> np.ndarray:
     is the sum over i of ys[b, a, i] / prod_{m != i} (x_i - x_m) times the
     X**j coefficient of prod_{m != i} (X - x_m)."""
     rows, k = xs.shape
+    top = 2**63 - 1
     # master polynomial prod_j (X - x_j), monic, constant first: multiply by
-    # X + a_j with a_j = q - x_j, one factor at a time
+    # X + a_j with a_j = q - x_j <= q, one factor at a time.  ``most`` bounds
+    # the entries of root, and a step takes it to most * (q + 1), so root is
+    # reduced only before a step that could pass 2**63 - 1: every other step
+    # at q = 65537, every step at q = 2**31 - 1.
     root = np.zeros((rows, k + 1), dtype=np.int64)
     root[:, 0] = 1
+    most = 1
     for a in (q - xs).T[:, :, None]:
+        if most * (q + 1) > top:
+            _reduce(root, q)
+            most = q - 1
         nxt = root * a
         nxt[:, 1:] += root[:, :-1]
-        root = nxt % q
+        root = nxt
+        most *= q + 1
+    if (q - 1) ** 2 + most > top:
+        _reduce(root, q)
     # numerators root / (X - x_i) by synthetic division, all i at once, top
     # coefficient first: basis[b, i, j] is the X**j coefficient of row b's
     # i-th numerator.  Horner's rule over the same coefficients gives each
     # numerator at its own x_i, the denominator prod_{m != i} (x_i - x_m).
-    # Products stay below q**2 < 2**62.  The basis is the only (rows, k, k)
-    # array, since the allocator hands arrays this large back to the system
-    # when freed: two more cost a 512-row block at k = 14 about 670 page
-    # faults per call.
+    # A numerator step stays below (q-1)**2 plus root's bound, and each is
+    # reduced, since the basis holds residues; a denominator step takes its
+    # bound d to (d + 1) * (q - 1), so the denominators are reduced only
+    # before a step that could pass 2**63 - 1.  The basis is the only
+    # (rows, k, k) array, since the allocator hands arrays this large back
+    # to the system when freed: two more cost a 512-row block at k = 14
+    # about 670 page faults per call.
     basis = np.empty((rows, k, k))
     basis[:, :, k - 1] = 1
     numer = np.ones((rows, k), dtype=np.int64)
     denom = np.ones((rows, k), dtype=np.int64)
+    most = 1
     for j in range(k - 1, 0, -1):
         numer *= xs
         numer += root[:, j, None]
-        numer %= q
-        basis[:, :, j - 1] = numer
+        basis[:, :, j - 1] = _reduce(numer, q)
+        if (most + 1) * (q - 1) > top:
+            _reduce(denom, q)
+            most = q - 1
         denom *= xs
         denom += numer
-        denom %= q
-    weights = ys * _inverse(denom, q)[:, None, :] % q
+        most = (most + 1) * (q - 1)
+    weights = _reduce(ys * _inverse(_reduce(denom, q), q)[:, None, :], q)
     return matmul_mod(weights, basis, q).astype(np.int64)
 
 
@@ -326,8 +361,8 @@ def search(index: VaultIndex, points, blocks, D: int, crc=None):
             # under assignment a a subset's candidate is the sum over i of
             # (y_i + offset[a_i]) * L_i, with L_i its Lagrange basis
             basis = interpolate(xs[sub], np.eye(k, dtype=np.int64), q)
-            ords = (ys[sub][:, :, None] + offsets) % q
-            coeffs = _assignment_sums(ords, basis, q).reshape(-1, k) % q
+            ords = _reduce(ys[sub][:, :, None] + offsets, q)
+            coeffs = _reduce(_assignment_sums(ords, basis, q).reshape(-1, k), q)
         else:
             coeffs = interpolate(xs[sub], ys[sub][:, None, :], q).reshape(-1, k)
         rows = np.flatnonzero(crc(coeffs)) if crc is not None else np.arange(len(coeffs))
@@ -348,8 +383,7 @@ def _assignment_sums(ords: np.ndarray, tables: np.ndarray, q: int) -> np.ndarray
     Each product is below q**2 < 2**62 and reduced; the sums of k residues
     are left unreduced."""
     rows, k, width = tables.shape
-    prod = ords[..., None] * tables[:, :, None, :]
-    prod -= prod // q * q  # integer floor division by a scalar beats numpy's %
+    prod = _reduce(ords[..., None] * tables[:, :, None, :], q)
     out = prod[:, 0]
     for i in range(1, k):
         out = (out[:, :, None] + prod[:, i, None]).reshape(rows, -1, width)

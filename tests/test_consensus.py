@@ -30,10 +30,12 @@ from fuzzyvault import attack, consensus
 from fuzzyvault.consensus import (
     INVERSE_TABLE_Q,
     SMALL_INVERSE,
+    SMALL_REDUCE,
     _chunk_subsets,
     _inverse,
     _inverse_table,
     _primitive_root,
+    _reduce,
     interpolate,
     matmul_mod,
     search,
@@ -124,6 +126,36 @@ def test_batched_interpolation_above_the_python_crossover_matches_field_oracle(c
     # the inverses come from the table for q <= INVERSE_TABLE_Q and from the
     # numpy Fermat loop for q >= 2**24 - 3
     _matches_field_oracle(*case)
+
+
+@given(point_rows(more_than=SMALL_REDUCE))
+@settings(deadline=None)
+def test_batched_interpolation_above_the_reduce_crossover_matches_field_oracle(case):
+    # every chain is reduced by floor division, and only as often as 2**63
+    # requires
+    _matches_field_oracle(*case)
+
+
+@pytest.mark.parametrize("q", [65537, 2**31 - 1])
+@pytest.mark.parametrize("k", [3, 14])
+def test_interpolation_past_the_reduce_crossover_at_its_worst_case(q, k):
+    # every y = q - 1; half the rows take x = q-1, q-2, ..., the largest
+    # multipliers of the numerator and denominator chains, and half take
+    # x = 0, 1, ..., whose factors X + (q - x) are the master polynomial's
+    # largest; a reduction skipped one step too late overflows int64
+    idx = np.arange((SMALL_REDUCE // k + 1) * k, dtype=np.int64).reshape(-1, k)
+    xs = np.concatenate([q - 1 - idx, idx])
+    _matches_field_oracle(q, xs, np.full((len(xs), 1, k), q - 1, dtype=np.int64))
+
+
+@pytest.mark.parametrize("q", MODULI)
+@pytest.mark.parametrize("size", [1, SMALL_REDUCE, SMALL_REDUCE + 1, 1000])
+def test_reduce_on_both_sides_of_the_floor_division_crossover(q, size):
+    v = np.random.default_rng(size).integers(0, 2**63 - 1, size=size, endpoint=True,
+                                             dtype=np.int64)
+    v[0] = 2**63 - 1
+    want = [x % q for x in v.tolist()]
+    assert _reduce(v, q) is v and v.tolist() == want
 
 
 @pytest.mark.parametrize("q", MODULI)
