@@ -222,10 +222,9 @@ def _inverse(a: np.ndarray, q: int) -> np.ndarray:
 
 
 def _reduce(v: np.ndarray, q: int) -> np.ndarray:
-    """Reduce the int64 array v mod q in place, into [0, q), and return it.
-    Above SMALL_REDUCE elements this is v -= v // q * q: numpy divides an
-    int64 array by one scalar with a precomputed multiplier, about twice as
-    fast per element as its %, which costs less only on small arrays."""
+    """Reduce the int64 array v mod q in place, into [0, q), and return it:
+    by % up to SMALL_REDUCE elements, above by v -= v // q * q, since numpy
+    divides by a scalar with a precomputed multiplier."""
     if v.size <= SMALL_REDUCE:
         v %= q
     else:
