@@ -6,18 +6,18 @@ first checks its CRC coefficient and counts only for the rows that pass.
 One search function and one parallel runner serve both.  Each block of
 subsets, up to a 512-row chunk, is interpolated in one numpy call (Lagrange
 form) and scanned against the vault in slices of a few hundred rows, up to
-the first slice that accepts.  The Lagrange combine and the scan against
-the powers X**j mod q are each one float64 matrix product, exact below
-2**53 with as many limbs as (q, k) need, one for every preset
-(``matmul_mod``).  Subsets come from one stream of seeded chunks, each an
-(m, k) index array, and the first accepted row in stream order wins, so
-results depend neither on the block or slice sizes nor on the worker
-count.  The verifier's chunk 0 is cut into blocks of 1, 2, 4, 8, 16 and 33
-subsets, since its first candidate is usually accepted; every other chunk
-is one block.  With more than
-one worker the calling process searches chunks beside forked helper
-processes, which claim chunk numbers from a shared counter and send their
-results back over pipes.
+the first slice that accepts.  The Lagrange combine and the scan are each
+one float64 matrix product, exact below 2**53 with as many limbs as (q, k)
+need, one for every preset (``_limb_fold``); the scan's gives g(X) - Y
+unreduced, and a record is a hit iff that is a multiple of q.  Subsets come
+from one stream of seeded chunks, each an (m, k) index array, and the first
+accepted row in stream order wins, so results depend neither on the block or
+slice sizes nor on the worker count.  The verifier's chunk 0 is cut into
+blocks of 1, 2, 4, 8, 16 and 33 subsets, since its first candidate is
+usually accepted; every other chunk is one block.  With more than one worker
+the calling process searches chunks beside forked helper processes, which
+claim chunk numbers from a shared counter and send their results back over
+pipes.
 
 For quiz vaults the graph test is "any transform index matches": a record
 (X, Y) counts as a hit when (g(X) - Y) mod q is one of the n transform
@@ -78,8 +78,9 @@ INVERSE_TABLE_Q = 2**17
 SWEEP_ELEMENTS = 2**24
 # Bound on the budget of any search, in subsets, explicit or default: ten
 # times uludag's default threshold budget (20 * C(200,8)/C(25,8), about
-# 1.02e9), about nine hours at its 3.3 us per trial on one core, while
-# clancy's default (about 1.5e15) is refused before a chunk is drawn.
+# 1.02e9), about six hours at its 2.1 us per threshold trial on one core
+# (BENCH_26.json chunk_us), while clancy's default (about 1.5e15) is refused
+# before a chunk is drawn.
 SEARCH_LIMIT = 10**10
 # The caller's bound on taking the lock of the shared chunk counter.
 CLAIM_TIMEOUT_S = 10.0
@@ -104,27 +105,33 @@ class VaultIndex:
             self._step = vault.quiz_params().step
         else:
             self.offsets = None
-        self._powers: dict[int, np.ndarray] = {}
+        self._tables: dict[int, np.ndarray] = {}
 
     def hits(self, coeffs: np.ndarray) -> np.ndarray:
         """Vault records on each row's graph (any-index match for quiz
         vaults), as exact float64 counts, for a (rows, width) array of
-        reduced coefficients.  A quiz record counts when (g(X) - Y) mod q is
-        a transform offset m * step, m < n: the residue over step, rounded
-        to the nearest integer m, is exact for a multiple of step (float64
-        holds both below 2**31), and no other residue equals m * step, so
-        the test is exact with no table of q entries."""
-        width = coeffs.shape[1]
-        if width not in self._powers:
-            powers = np.ones((width, self.r), dtype=np.int64)
+        reduced coefficients.  [coeffs | 1] times a cached table, the powers
+        X**j mod q over -Y, is v = g(X) - Y (``_limb_fold``).  A record is
+        on the graph iff v = m * q, and rint(v / q) * q == v tests that
+        exactly: the float quotient is within |m| * 2**-52 < 1/2 of m (q = 2
+        divides exactly; at q = 3 v is small).  A quiz record counts when
+        v mod q (``matmul_mod``) is a transform offset m * step, m < n: the
+        residue over step, rounded to the nearest integer m, is exact for a
+        multiple of step (float64 holds both below 2**31), and no other
+        residue equals m * step, so no table of q entries is needed."""
+        rows, width = coeffs.shape
+        if width not in self._tables:
+            table = np.ones((width + 1, self.r), dtype=np.int64)
             for j in range(1, width):
-                powers[j] = _reduce(powers[j - 1] * self._x, self.q)
-            self._powers[width] = powers.astype(np.float64)
-        vals = matmul_mod(coeffs, self._powers[width], self.q)
+                table[j] = _reduce(table[j - 1] * self._x, self.q)
+            table[width] = -self._y
+            self._tables[width] = table.astype(np.float64)
+        a = np.ones((rows, width + 1), dtype=np.int64)
+        a[:, :width] = coeffs
         if self.offsets is None:
-            return (vals == self._y) @ self._ones
-        vals -= self._y
-        vals += (vals < 0) * float(self.q)
+            vals = _limb_fold(a, self._tables[width], self.q)
+            return (np.rint(vals * (1 / self.q)) * self.q == vals) @ self._ones
+        vals = matmul_mod(a, self._tables[width], self.q)
         m = np.rint(vals * (1 / self._step))
         hit = m * self._step == vals
         hit &= m < len(self.offsets)
@@ -138,20 +145,32 @@ class VaultIndex:
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """Exact (a @ b) mod q as float64, for int64 ``a`` and float64 ``b`` in
-    [0, q).  ``a`` is split into limbs of the widest width w with
-    (k+1) * 2**w * q < 2**53, k = a.shape[-1], folded high limb first, so
-    every sum is an integer below 2**53 - q and float64 holds it exactly."""
+    """Exact (a @ b) mod q as float64, for ``a`` and ``b`` as in
+    ``_limb_fold``: its value v less rint(v / q) * q, in (-q, q), plus q
+    where that is negative."""
+    v = _limb_fold(a, b, q)
+    v -= np.rint(v * (1 / q)) * q
+    v += (v < 0) * float(q)
+    return v
+
+
+def _limb_fold(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """An integer congruent to a @ b mod q, as float64, for int64 ``a`` in
+    [0, q) and float64 ``b`` in (-q, q) whose negative entries meet only a
+    column of ones in ``a``.  ``a`` is split into limbs of the widest width
+    w with (c+1) * 2**w * q < 2**53, c = a.shape[-1], folded high limb
+    first (one limb at every preset).  Between limbs the value v is brought
+    into (-q, q) by v - rint(v / q) * q, as the float quotient is within
+    |v / q| * 2**-52 of v / q, so every sum is an integer below
+    (c+1) * 2**w * q and exact.  The ones are 0 in every limb but the
+    lowest, so the rows they meet enter once."""
     width = ((2**53 - 1) // ((a.shape[-1] + 1) * q)).bit_length() - 1
-    out = None
-    for shift in range(((q - 1).bit_length() - 1) // width * width, -1, -width):
-        v = ((a >> shift) & ((1 << width) - 1)).astype(np.float64) @ b
-        if out is not None:
-            v += out * 2.0**width
-        v -= np.floor(v * (1 / q)) * q  # the float quotient is off by at most one
-        np.add(v, q, out=v, where=v < 0)
-        np.subtract(v, q, out=v, where=v >= q)
-        out = v
+    top = ((q - 1).bit_length() - 1) // width * width
+    out = (a >> top if top else a).astype(np.float64) @ b
+    for shift in range(top - width, -1, -width):
+        out -= np.rint(out * (1 / q)) * q
+        out *= 2.0**width
+        out += ((a >> shift) & ((1 << width) - 1)).astype(np.float64) @ b
     return out
 
 
@@ -288,7 +307,7 @@ def interpolate(xs: np.ndarray, ys: np.ndarray, q: int) -> np.ndarray:
         denom += numer
         most = (most + 1) * (q - 1)
     weights = _reduce(ys * _inverse(_reduce(denom, q), q)[:, None, :], q)
-    return matmul_mod(weights, basis, q).astype(np.int64)
+    return _reduce(_limb_fold(weights, basis, q).astype(np.int64), q)
 
 
 def stop_rule(vault: Vault, mode: str, D: int | None, bits: int | None) -> dict:

@@ -46,11 +46,14 @@ from fuzzyvault.field import is_prime
 from fuzzyvault.vault import VaultRecord, coord_shift
 from oracles import count_hits_python, vault_from_records
 
-# matmul_mod splits its left operand into limbs of the widest width w with
-# (k+1) * 2**w * q < 2**53.  At k = 24, 2**24 - 3 is the largest prime whose
-# values fit one limb (w = 24) and 2**24 + 43 the smallest that needs two;
-# 2**31 - 1 is the largest accepted modulus.
-MODULI = [2, 3, 17, 65537, 2**24 - 3, 2**24 + 43, 2**31 - 1]
+# matmul_mod splits its left operand, c columns, into limbs of the widest
+# width w with (c+1) * 2**w * q < 2**53.  At c = 24, 2**24 - 3 is the largest
+# prime whose values fit one limb (w = 24) and 2**24 + 43 the smallest that
+# needs two.  VaultIndex.hits appends a column of ones to its k coefficients,
+# so its rule is that of c = k + 1: at k = 14 its largest one-limb prime moves
+# from 17895671, one limb at c = 14, to 2**24 - 3, and 17895707 is the
+# smallest prime above 17895671.  2**31 - 1 is the largest accepted modulus.
+MODULI = [2, 3, 17, 65537, 2**24 - 3, 2**24 + 43, 17895671, 17895707, 2**31 - 1]
 
 
 @st.composite
@@ -81,6 +84,18 @@ def test_matmul_mod_worst_case_at_the_largest_modulus():
     assert matmul_mod(a, b, q).tolist() == [[k * (q - 1) ** 2 % q] * 3] * 2
 
 
+def test_matmul_mod_keeps_the_margin_of_its_width_rule():
+    # q = 2**31 - 1 and 16 columns take limbs of w = 17 bits, by the + 1 of
+    # (c+1) * 2**w * q < 2**53.  With w = 18 the low limbs here, all ones
+    # against b near q, plus the high limbs' residue just below q/2 times
+    # 2**18, would sum to about 1.03 * 2**53 and round.
+    q, w = 2**31 - 1, 18
+    a = [8169 * 2**w + 2**w - 1] + [8190 * 2**w + 2**w - 1] * 15
+    b = [2147352221] + [q - 1] * 15
+    got = matmul_mod(np.array([a], dtype=np.int64), np.array(b, dtype=np.float64)[:, None], q)
+    assert got.tolist() == [[sum(x * y for x, y in zip(a, b)) % q]]
+
+
 @pytest.mark.parametrize("q, v", [
     (103, 103),  # v * (1/q) rounds below 1: the float quotient is one too low
     (16777099, 6755304415238471),  # it rounds up to v // q + 1: one too high
@@ -91,6 +106,19 @@ def test_matmul_mod_corrects_an_off_by_one_float_quotient(q, v):
     b = [q - 1] * full + list(divmod(rest, q - 1))
     got = matmul_mod(np.array([a], dtype=np.int64), np.array(b, dtype=np.float64)[:, None], q)
     assert got.tolist() == [[v % q]]
+
+
+@pytest.mark.parametrize("q", MODULI)
+def test_matmul_mod_reduces_both_ends_of_the_quiz_residue_range(q):
+    # the shape of a VaultIndex.hits product: k coefficients and a column of
+    # ones against k rows of powers and a row -Y, so g(X) - Y runs from
+    # -(q - 1) (g = 0, Y = q - 1) to k * (q - 1)**2 (every coefficient and
+    # power q - 1, Y = 0), two limbs at q = 2**31 - 1
+    k = 24
+    a = np.array([[0] * k + [1], [q - 1] * k + [1]], dtype=np.int64)
+    b = np.array([[q - 1, q - 1]] * k + [[-(q - 1), 0]], dtype=np.float64)
+    want = [[-(q - 1) % q, 0], [(k * (q - 1) ** 2 - (q - 1)) % q, k * (q - 1) ** 2 % q]]
+    assert matmul_mod(a, b, q).tolist() == want
 
 
 @st.composite
@@ -228,6 +256,26 @@ def test_batched_hit_counts_match_python_scan(case):
     hits = index.hits(coeffs)
     for row, h in zip(coeffs.tolist(), hits.tolist()):
         assert h == count_hits_python(index, row) == index.count_hits(row)
+
+
+@pytest.mark.parametrize("quiz_n", [0, 2])
+@pytest.mark.parametrize("q, k", [(103, 14), (17895671, 14), (17895707, 14), (2**31 - 1, 24)])
+def test_hit_counts_at_the_bound_match_python_scan(q, k, quiz_n):
+    # two limbs for hits at each q here but 103, where the float quotient
+    # v * (1/q) of most multiples of q rounds below m = v / q, so a floored
+    # quotient would miss hits that rint finds.  Every coefficient q - 1 gives
+    # g(0) = q - 1 and, at even k, g(q - 1) = 0, since the powers of q - 1
+    # alternate 1, q - 1: the ordinates q - 1 and 0 put both records on the
+    # graph, the largest g(X) - Y meets a column of ones, and the zero row
+    # gives the least, -(q - 1).  The constant q - 1 leaves the residue
+    # q - 1 = n * step at n = 2 on the records with ordinate 0: no offset.
+    abscissae = [0, q - 1, 1, q - 2, 2, q - 3]
+    vault = _vault(q, abscissae, [q - 1, 0, 0, q - 1, q - 1, 0], quiz_n, k=k)
+    index = VaultIndex(vault)
+    rows = np.array([[q - 1] * k, [0] * k, [q - 1] + [0] * (k - 1)], dtype=np.int64)
+    hits = index.hits(rows).tolist()
+    assert hits == [count_hits_python(index, row) for row in rows.tolist()]
+    assert hits[0] >= 2
 
 
 def test_count_hits_of_the_true_polynomial_at_default_q():
