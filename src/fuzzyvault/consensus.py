@@ -78,9 +78,9 @@ INVERSE_TABLE_Q = 2**17
 SWEEP_ELEMENTS = 2**24
 # Bound on the budget of any search, in subsets, explicit or default: ten
 # times uludag's default threshold budget (20 * C(200,8)/C(25,8), about
-# 1.02e9), about six hours at its 2.1 us per threshold trial on one core
-# (BENCH_26.json chunk_us), while clancy's default (about 1.5e15) is refused
-# before a chunk is drawn.
+# 1.02e9), about four and a half hours at its 1.6 us per threshold trial on
+# one core (BENCH_26.json chunk_us), while clancy's default (about 1.5e15)
+# is refused before a chunk is drawn.
 SEARCH_LIMIT = 10**10
 # The caller's bound on taking the lock of the shared chunk counter.
 CLAIM_TIMEOUT_S = 10.0

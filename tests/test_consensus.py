@@ -266,8 +266,8 @@ def test_hit_counts_at_the_bound_match_python_scan(q, k, quiz_n):
     # quotient would miss hits that rint finds.  Every coefficient q - 1 gives
     # g(0) = q - 1 and, at even k, g(q - 1) = 0, since the powers of q - 1
     # alternate 1, q - 1: the ordinates q - 1 and 0 put both records on the
-    # graph, the largest g(X) - Y meets a column of ones, and the zero row
-    # gives the least, -(q - 1).  The constant q - 1 leaves the residue
+    # graph, with v = g(X) - Y near the top of its range, and the zero row
+    # gives the least v, -(q - 1).  The constant q - 1 leaves the residue
     # q - 1 = n * step at n = 2 on the records with ordinate 0: no offset.
     abscissae = [0, q - 1, 1, q - 2, 2, q - 3]
     vault = _vault(q, abscissae, [q - 1, 0, 0, q - 1, q - 1, 0], quiz_n, k=k)
